@@ -1,8 +1,8 @@
 """Ablation: is worst-fit on the *utilization difference* the right metric?
 
-DESIGN.md calls out the UDP fit rule as the paper's core design choice.
-This bench swaps only the HC fit rule (keeping the criticality-aware order
-and first-fit LC placement fixed) and reports acceptance ratios for:
+The UDP fit rule is the paper's core design choice.  This bench swaps only
+the HC fit rule (keeping the criticality-aware order and first-fit LC
+placement fixed) and reports acceptance ratios for:
 
 * ``ca-udp``   — worst-fit on U_HH - U_LH (the paper's rule);
 * ``ca-wu-f``  — worst-fit on U_HH alone (Gu et al.'s rule);

@@ -11,9 +11,8 @@ and records in ``BENCH_obs.json`` at the repo root (also a CI artifact):
   the same over cache bytes; here it rides the perf measurement);
 * **overhead** — wall cost of ``metrics`` and ``trace`` relative to the
   ``off`` (null-recorder) run, plus the null run's absolute throughput
-  next to the committed ``BENCH_dbf.json`` fig4 figure it must not
-  regress (the issue budgets < 3% for the null recorder; the tripwires
-  below stay looser so noisy CI runners don't flake);
+  (the null recorder is budgeted at < 3%; the tripwires below stay
+  looser so noisy CI runners don't flake);
 * **the snapshot itself** — the artifact doubles as the documented
   example of the ``repro-obs-snapshot/1`` schema: it IS the ``to_json``
   export of the traced run, with a ``bench`` block appended, and the

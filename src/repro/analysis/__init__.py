@@ -1,4 +1,4 @@
-"""Uniprocessor MC schedulability tests (systems S2-S8 in DESIGN.md).
+"""Uniprocessor MC schedulability tests (S2-S8).
 
 Every test implements :class:`~repro.analysis.interface.SchedulabilityTest`
 and is *sufficient*: ``is_schedulable(ts) == True`` guarantees MC-correct
@@ -16,7 +16,7 @@ Available tests:
   with iterative virtual-deadline tuning (ECRTS 2012).
 * :class:`~repro.analysis.ecdf.ECDFTest` — Easwaran's ECDF demand-based test
   with greedy virtual-deadline assignment and the carry-over trigger
-  refinement (RTSS 2013; see DESIGN.md section 5 for fidelity notes).
+  refinement (RTSS 2013).
 * :class:`~repro.analysis.amc.AMCrtbTest` /
   :class:`~repro.analysis.amc.AMCmaxTest` — fixed-priority adaptive
   mixed-criticality response-time analyses (RTSS 2011).
@@ -35,12 +35,7 @@ from repro.analysis.context import (
     DemandContext,
     EDFVDContext,
 )
-from repro.analysis.dbf import (
-    demand_kernel,
-    kernel_counters,
-    reset_kernel_counters,
-    set_demand_kernel,
-)
+from repro.analysis.dbf import kernel_counters, reset_kernel_counters
 from repro.analysis.ecdf import ECDFTest
 from repro.analysis.edf import EDFTest
 from repro.analysis.edf_vd import EDFVDTest, edfvd_scaling_factor
@@ -73,11 +68,9 @@ __all__ = [
     "PrefilterReport",
     "SchedulabilityTest",
     "default_prefilter_bank",
-    "demand_kernel",
     "edfvd_scaling_factor",
     "get_test",
     "kernel_counters",
     "registered_tests",
     "reset_kernel_counters",
-    "set_demand_kernel",
 ]

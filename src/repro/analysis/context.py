@@ -39,19 +39,6 @@ accumulator maintained in the exact evaluation order of the from-scratch
 code or a memoized pure-function result, the incremental path produces
 bit-identical verdicts, virtual deadlines and sweep results — a property
 the differential test suite asserts rather than assumes.
-
-Demand-kernel independence
---------------------------
-Context memo keys never encode the active demand kernel
-(:func:`repro.analysis.dbf.demand_kernel`): all four kernels are
-verdict-identical decision procedures over the same demand functions, so
-a memoized result is valid under any of them and switching kernels
-mid-session cannot poison a context.  The identity contract is tiered:
-``forward``, ``qpa`` and ``vec`` are additionally bit-identical down to
-the descent *trajectory* (iteration counts, committed deadlines), while
-``block`` commits multi-task boundary jumps and guarantees only the
-*verdicts* — which is exactly the level the memo keys, the shard-cache
-payloads and the opt-in :mod:`repro.analysis.verdict_cache` depend on.
 """
 
 from __future__ import annotations

@@ -52,12 +52,6 @@ settles every set whose walk never leaves the decided region; the EDF-VD
 screen is complete (every probe decides), the EY/ECDF screen mirrors the
 pre-screen of :class:`repro.analysis.context.DemandContext` and reports
 ``None`` for probes that would need dbf work.
-
-Every filter and screen here is demand-kernel independent: the conditions
-are utilization arithmetic over the batch columns and never evaluate a
-demand bound function, so the rejects hold — and the survivors' verdicts
-stay bit-identical — whichever kernel (``forward``, ``qpa`` or ``vec``,
-see :func:`repro.analysis.dbf.set_demand_kernel`) analyzes the survivors.
 """
 
 from __future__ import annotations

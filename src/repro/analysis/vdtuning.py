@@ -18,7 +18,7 @@ The engine implements the descent loop both published algorithms share:
    deficit at ``l*`` (or as far as LO-mode feasibility allows);
 3. accept when the HI check passes; reject when no task can make progress.
 
-Policies (see DESIGN.md §5 for fidelity notes):
+Policies:
 
 * ``"steepest"`` (EY, Ekberg-Yi ECRTS 2012): pick the task with the largest
   HI-demand reduction at ``l*``.  The published algorithm shrinks one time
@@ -55,10 +55,7 @@ import numpy as np
 
 from repro.model import MCTask, TaskSet
 from repro import obs as _obs
-from repro.util import env as _env
 from repro.analysis import dbf as _dbf
-from repro.analysis import dbf_block as _blk
-from repro.analysis import dbf_vec as _vec
 from repro.analysis import verdict_cache as _vcache
 from repro.analysis.dbf import (
     DemandScenario,
@@ -86,14 +83,14 @@ __all__ = [
 _MAX_ITERATIONS = 400
 
 #: Breakpoints the scalar peek checks past the violation front before the
-#: vectorized window / QPA machinery takes over (pure cost knob: every
-#: kernel decides the same predicate).
+#: vectorized window / QPA machinery takes over (pure cost constant: every
+#: layer decides the same predicate).
 _MICRO_WALK = 2
 
-#: Screen calls per scaffolding entry before the qpa kernel stops
-#: screening and pays the exact probe (the ``REPRO_DBF_SCREEN_VALVE``
-#: knob).  Screens are accept-only, so the valve is a pure cost policy.
-_SCREEN_VALVE = _env.screen_valve_from_env()
+#: Screen calls per scaffolding entry before the LO shrink stops screening
+#: and pays the exact probe.  Screens are accept-only, so every positive
+#: value is sound; the valve is a pure cost policy.
+_SCREEN_VALVE = 2
 
 
 @dataclass(frozen=True)
@@ -666,10 +663,6 @@ class DemandEngine:
                 return (None, None)
             tasks = self._hi_tasks(vd)
             meta = self._hi_meta(sig, tasks)
-            if _dbf._KERNEL == "forward":
-                return _windowed_hi_check(
-                    tasks, meta, refine, not_before, len(self._high)
-                )
             return self._qpa_hi_check(sig, tasks, meta, refine, not_before)
 
         return self._cached(key, compute)
@@ -752,8 +745,8 @@ class DemandEngine:
 
         Returns ``("pass", None)``, ``("violation", witness)`` or
         ``("abort", None)`` — abort means the caller must fall back to the
-        forward oracle.  Cold searches give the upper-bound screen one
-        vectorized sweep first; warm searches start at the full-deadline
+        forward windowed scan.  Cold searches give the upper-bound screen
+        one vectorized sweep first; warm searches start at the full-deadline
         anchor, which bounds every assignment's violations from above.
         """
         self._ensure_anchor()
@@ -868,8 +861,6 @@ class DemandEngine:
                 return True
             if not refine and not obool:
                 return False
-        if _dbf._KERNEL == "forward":
-            return self.hi_violation(vd, refine) is None
         if not self._high:
             memo[("hib", sig, refine)] = True
             return True
@@ -889,8 +880,8 @@ class DemandEngine:
             return False
         status, _ = self._qpa_decide(sig, tasks, horizon, refine)
         if status == "abort":
-            # Hand the whole question to the forward oracle and keep its
-            # earliest-form answer.
+            # Hand the whole question to the forward windowed scan and
+            # keep its earliest-form answer.
             value = _windowed_hi_check(tasks, meta, refine, 0, len(self._high))
             memo[key] = ("value", value)
             return value[0] is None
@@ -964,11 +955,10 @@ class DemandEngine:
 
         ``[others mode-task tuple, worst-case horizon (None = the probe
         would raise or mark always-infeasible), others' density, smallest
-        screen-accepted deadline, screen-call count, cached vec split
-        screen (None until the vec kernel's first full screen)]`` —
-        shared by the accept screens and the fast probe construction so
-        the descent's repeated picks of one task build it once per
-        surrounding assignment.
+        screen-accepted deadline, screen-call count]`` — shared by the
+        accept screens and the fast probe construction so the descent's
+        repeated picks of one task build it once per surrounding
+        assignment.
         """
         key = ("lofp", task.task_id, sig_o)
         prepared = self._memo.get(key)
@@ -988,7 +978,7 @@ class DemandEngine:
                 horizon = DemandScenario._horizon(worst, self.horizon_cap)
             except HorizonExceeded:
                 horizon = None  # decline exactly where the probe would raise
-            prepared = [tuple(others), horizon, density, None, 0, None]
+            prepared = [tuple(others), horizon, density, None, 0]
             self._memo[key] = prepared
         return prepared
 
@@ -1066,48 +1056,19 @@ class DemandEngine:
         elif density + task.wcet_lo / min(v, task.period) <= 1.0 - 1e-9:
             ok = True
         else:
+            # The descent re-picks the same task with ever-smaller
+            # deadlines; after a couple of full O(n·k) screen evaluations
+            # it is cheaper to let the exact V* search run once and serve
+            # every later request from its memo entry (a pure cost policy —
+            # the V* path returns the identical shrink).
             prepared[4] += 1
-            if _dbf._KERNEL in ("vec", "block"):
-                # Split screen, engaged lazily: the first shot on an entry
-                # uses the one-shot screen (cheaper than building the split
-                # cache for an entry that may never be screened again); from
-                # the second shot on the others' half is cached once and
-                # each call adds only the probe's own terms.  The O(k)
-                # marginal cost is low enough that the vec kernel keeps
-                # screening where qpa's valve below gives up and pays the
-                # exact probe — screens are accept-only, so this is a pure
-                # cost policy with verdict-identical results.
-                if prepared[4] == 1:
-                    candidate = list(others)
-                    candidate.append(
-                        _ModeTask(task.wcet_lo, v, task.period, task.wcet_lo)
-                    )
-                    ok = approx_accepts(candidate, horizon, hi=False)
-                else:
-                    screen = prepared[5]
-                    if screen is None:
-                        screen = _vec.lo_screen_prepare(
-                            others, horizon, _dbf._APPROX_K
-                        )
-                        prepared[5] = screen
-                    ok = _vec.lo_screen_accepts(
-                        screen, task.wcet_lo, task.period, v, horizon,
-                        _dbf._APPROX_K,
-                    )
-            else:
-                # The descent re-picks the same task with ever-smaller
-                # deadlines; after a couple of full O(n·k) screen
-                # evaluations it is cheaper to let the exact V* search run
-                # once and serve every later request from its memo entry (a
-                # pure cost policy — the V* path returns the identical
-                # shrink).
-                if prepared[4] > _SCREEN_VALVE:
-                    return False
-                candidate = list(others)
-                candidate.append(
-                    _ModeTask(task.wcet_lo, v, task.period, task.wcet_lo)
-                )
-                ok = approx_accepts(candidate, horizon, hi=False)
+            if prepared[4] > _SCREEN_VALVE:
+                return False
+            candidate = list(others)
+            candidate.append(
+                _ModeTask(task.wcet_lo, v, task.period, task.wcet_lo)
+            )
+            ok = approx_accepts(candidate, horizon, hi=False)
         if ok:
             _dbf._COUNTERS["approx-accept"] += 1
             prepared[3] = v if accepted_v is None else min(accepted_v, v)
@@ -1118,7 +1079,6 @@ class DemandEngine:
         vd: dict[int, int],
         task: MCTask,
         desired: int,
-        _sig_o: tuple | None = None,
     ) -> int:
         """Largest shrink ``<= desired`` keeping the LO-mode check feasible.
 
@@ -1132,12 +1092,6 @@ class DemandEngine:
         ``V*``, which is independent of the task's own current deadline —
         so every later descent iteration that re-picks this task (with any
         remaining ``base``, against any deficit) costs one lookup.
-
-        ``_sig_o`` optionally supplies the precomputed
-        :meth:`_sig_others` tuple for ``(vd, task)`` — a pure-value reuse
-        hook for the vec kernel's speculation batches (which build all
-        candidate signatures in one pass); passing it never changes the
-        result.
         """
         base = vd[task.task_id]
 
@@ -1166,17 +1120,14 @@ class DemandEngine:
         # construction and the V* search.  Screen verdicts are monotone in
         # the probed deadline, so the smallest accepted deadline is cached
         # per surrounding assignment and repeated picks cost one lookup.
-        sig_o = (
-            _sig_o if _sig_o is not None else self._sig_others(vd, task.task_id)
-        )
-        if _dbf._KERNEL != "forward":
-            target = base - desired
-            if (
-                target >= task.wcet_lo
-                and self._memo.get(("vmin", task.task_id, sig_o)) is None
-                and self._lo_fast_feasible(vd, task, target, sig_o)
-            ):
-                return desired
+        sig_o = self._sig_others(vd, task.task_id)
+        target = base - desired
+        if (
+            target >= task.wcet_lo
+            and self._memo.get(("vmin", task.task_id, sig_o)) is None
+            and self._lo_fast_feasible(vd, task, target, sig_o)
+        ):
+            return desired
 
         v_min = self.lo_min_deadline(vd, task, sig_o)
         if v_min is None:
@@ -1189,8 +1140,8 @@ class DemandEngine:
         """Smallest LO-feasible virtual deadline ``V*`` for ``task``; None
         when even the task's full deadline is infeasible under the probe's
         verdicts.  Memoized per surrounding assignment (requires the warm
-        engine) — the scalar descent's :meth:`max_lo_feasible_shrink` and
-        the block planner share the entry.
+        engine) and served to every later :meth:`max_lo_feasible_shrink`
+        of the same task.
 
         The probe's first check (own demand against the other tasks'
         slack at *their* breakpoints) inverts in closed form: at slack
@@ -1223,20 +1174,6 @@ class DemandEngine:
             # At or above floor_v the other-breakpoint half holds by the
             # closed-form inversion, so only the own-breakpoint half of
             # feasible() remains to test.
-            if _dbf._KERNEL in ("vec", "block") and task.wcet_lo <= task.period:
-                # Same boundary, no bisection: above floor_v the own half
-                # is the whole (monotone) verdict, and its largest failing
-                # deadline inverts in closed form over the others' slack
-                # regions (see dbf_vec.vstar_own).
-                return _vec.vstar_own(
-                    points_o,
-                    slack_o,
-                    task.wcet_lo,
-                    task.period,
-                    task.deadline,
-                    floor_v,
-                    probe._horizon,
-                )
             if probe._own_feasible(floor_v):
                 return floor_v
             if not probe._own_feasible(task.deadline):
@@ -1355,8 +1292,6 @@ def _tune_virtual_deadlines_impl(
         if uniform is not None:
             return uniform
 
-    if _dbf._KERNEL == "block" and engine._memo is not None:
-        return _descend_block(high_tasks, vd, policy, refine, engine)
     return _descend(high_tasks, vd, policy, refine, engine)
 
 
@@ -1403,18 +1338,13 @@ def run_tuning_stages(
 def _default_engine(taskset: TaskSet, horizon_cap: int) -> DemandEngine:
     """The engine a caller gets when it passes none.
 
-    Under the QPA and vec kernels the engine carries a private per-run
-    memo so the whole kernel machinery (warm anchors, witness-level
-    checks, screen caches, speculation batches) serves the from-scratch
-    path too — memoization only
-    deduplicates pure queries, so outcomes are identical either way (the
-    property the memo/no-memo differential tests assert).  Under the
-    forward oracle kernel the engine stays memo-free, preserving the
-    historical from-scratch cost profile the benchmarks baseline against.
+    It carries a private per-run memo so the whole evaluation machinery
+    (warm anchors, witness-level checks, screen caches) serves the
+    from-scratch path too — memoization only deduplicates pure queries,
+    so outcomes are identical either way (the property the memo/no-memo
+    differential tests assert).
     """
-    if _dbf._KERNEL != "forward":
-        return DemandEngine(taskset, horizon_cap, memo={})
-    return DemandEngine(taskset, horizon_cap)
+    return DemandEngine(taskset, horizon_cap, memo={})
 
 
 def _scaled_deadlines(high_tasks: list[MCTask], x: float) -> dict[int, int]:
@@ -1550,24 +1480,8 @@ def _descend(
     non-frozen entry equals the historical per-iteration argmax: the score
     key embeds ``-task_id``, a total order) and every outcome are
     unchanged; only the redundant re-evaluations are gone.
-
-    Under the vec kernel a :class:`~repro.analysis.dbf_vec.DescentSession`
-    takes over the per-assignment work: the candidate ranking runs as
-    column arithmetic (entry-identical) and the next ``k`` ranked
-    candidates' shrink screens are speculated in one batch — the
-    trajectory consumes the speculated settle for whichever candidate it
-    actually reaches and the rest is discarded on commit.  Every
-    speculated value is a pure function of the probe and ``vd`` is frozen
-    between commits, so trajectories, iteration counts and outcomes are
-    identical with speculation on or off (the descent-trace equality
-    test).
     """
     vd = dict(vd)
-    session = (
-        _vec.DescentSession(engine, high_tasks)
-        if _dbf._KERNEL == "vec" and engine._memo is not None
-        else None
-    )
     frozen: set[int] = set()
     # Shrinking any Dv only lowers HI demand, so check points below the
     # last seen violation stay feasible for the rest of the descent — the
@@ -1580,122 +1494,8 @@ def _descend(
             try:
                 current = engine.hi_check(vd, refine, not_before=front)
             except HorizonExceeded:
-                if session is not None:
-                    session.retire()
                 return TuningOutcome(
                     False, vd, iteration, "HI horizon cap exceeded"
-                )
-        violation, demand = current
-        if violation is None:
-            if session is not None:
-                session.retire()
-            return TuningOutcome(True, vd, iteration)
-        front = violation
-
-        deficit = demand - violation
-        if ranked is None:
-            if session is not None and session.vector_rank:
-                ranked = session.rank(vd, violation, deficit, policy)
-            else:
-                ranked = _rank_candidates(
-                    high_tasks, vd, violation, deficit, policy, engine
-                )
-            if session is not None:
-                session.speculate(ranked, vd)
-        candidate = None
-        for _key, task, desired in ranked:
-            if task.task_id not in frozen:
-                candidate = (task, desired)
-                break
-        if candidate is None:
-            if session is not None:
-                session.retire()
-            return TuningOutcome(
-                False, vd, iteration, f"no shrinkable task at l*={violation}"
-            )
-        task, desired = candidate
-        shrink = sig_o = None
-        if session is not None:
-            shrink, sig_o = session.consume(task, desired)
-        if shrink is None:
-            shrink = engine.max_lo_feasible_shrink(
-                vd, task, desired, _sig_o=sig_o
-            )
-        if shrink == 0 or engine.hi_gain(task, vd[task.task_id], shrink, violation) <= 0:
-            frozen.add(task.task_id)
-            continue
-        vd[task.task_id] -= shrink
-        frozen.clear()  # shrinking one task may unfreeze others elsewhere
-        current = None
-        ranked = None
-        if session is not None:
-            session.retire(committed=task.task_id)
-
-    if session is not None:
-        session.retire()
-    return TuningOutcome(False, vd, _MAX_ITERATIONS, "iteration cap reached")
-
-
-def _descend_block(
-    high_tasks: list[MCTask],
-    vd: dict[int, int],
-    policy: str,
-    refine: bool,
-    engine: DemandEngine,
-) -> TuningOutcome:
-    """The ``block`` kernel's descent: joint boundary jumps per probe.
-
-    Same loop shape as :func:`_descend` — one exact HI check per
-    iteration, candidates ranked once per assignment — but before taking
-    the scalar single-task step it asks :func:`repro.analysis.dbf_block.
-    plan_block` for a joint jump of several ranked candidates straight to
-    their minimal LO-feasible deadlines, each step proven exactly against
-    a virtual copy of the assignment with every earlier jump already
-    applied.  A committed block makes one iteration of progress
-    where the scalar descent would have spent one iteration (and one
-    exact probe) per task, which is the whole point: fewer distinct
-    violation fronts, fewer exact QPA iterations.
-
-    Verdict contract: any reject reached on a trajectory that committed
-    at least one block falls back to a full scalar :func:`_descend` from
-    the original assignment and returns *its* outcome — the block kernel
-    therefore never rejects a set the scalar kernels accept.  Rejects on
-    an all-scalar trajectory are returned directly (that trajectory *is*
-    the scalar one: the planner only reads memoized scaffolding).
-    Accepts stand on their own soundness — every committed deadline is
-    LO-feasible by construction and the final exact HI check passed —
-    but the descent trajectory (iteration counts, committed deadlines)
-    is not bit-identical to the scalar kernels'; the fig3–fig7
-    differential suite pins the *verdicts* to parity.
-
-    Requires the memo-backed engine (the planner reads the ``("vmin",
-    ...)``/``("lofp", ...)`` scaffolding); the dispatch in
-    :func:`_tune_virtual_deadlines_impl` guarantees it.
-    """
-    vd0 = vd
-    vd = dict(vd)
-    frozen: set[int] = set()
-    front = 0
-    jumped = False
-    current: tuple[int | None, int | None] | None = None
-    ranked: list[tuple[tuple, MCTask, int]] | None = None
-
-    def fallback(outcome: TuningOutcome) -> TuningOutcome:
-        """A reject of the block trajectory: re-run the scalar descent
-        when a block was committed (the trajectories diverged), else the
-        outcome already is the scalar one."""
-        if not jumped:
-            return outcome
-        _blk._COUNTERS["block-fallback"] += 1
-        return _descend(high_tasks, dict(vd0), policy, refine, engine)
-
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        if current is None:
-            try:
-                current = engine.hi_check(vd, refine, not_before=front)
-            except HorizonExceeded:
-                return fallback(
-                    TuningOutcome(False, vd, iteration, "HI horizon cap exceeded")
                 )
         violation, demand = current
         if violation is None:
@@ -1707,28 +1507,14 @@ def _descend_block(
             ranked = _rank_candidates(
                 high_tasks, vd, violation, deficit, policy, engine
             )
-
-        commits = _blk.plan_block(engine, vd, ranked, frozen, violation)
-        if commits:
-            for tid, v_new in commits.items():
-                vd[tid] = v_new
-            jumped = True
-            frozen.clear()
-            current = None
-            ranked = None
-            continue
-
-        # Residual scalar step, body-identical to _descend's.
         candidate = None
         for _key, task, desired in ranked:
             if task.task_id not in frozen:
                 candidate = (task, desired)
                 break
         if candidate is None:
-            return fallback(
-                TuningOutcome(
-                    False, vd, iteration, f"no shrinkable task at l*={violation}"
-                )
+            return TuningOutcome(
+                False, vd, iteration, f"no shrinkable task at l*={violation}"
             )
         task, desired = candidate
         shrink = engine.max_lo_feasible_shrink(vd, task, desired)
@@ -1736,13 +1522,11 @@ def _descend_block(
             frozen.add(task.task_id)
             continue
         vd[task.task_id] -= shrink
-        frozen.clear()
+        frozen.clear()  # shrinking one task may unfreeze others elsewhere
         current = None
         ranked = None
 
-    return fallback(
-        TuningOutcome(False, vd, _MAX_ITERATIONS, "iteration cap reached")
-    )
+    return TuningOutcome(False, vd, _MAX_ITERATIONS, "iteration cap reached")
 
 
 def _rank_candidates(

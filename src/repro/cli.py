@@ -172,16 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     figure.add_argument(
-        "--demand-kernel",
-        choices=("forward", "qpa", "vec", "block"),
-        default=None,
-        help=(
-            "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; results "
-            "are bit-identical across kernels — see README"
-        ),
-    )
-    figure.add_argument(
         "--obs-out",
         default=None,
         help=(
@@ -272,16 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign.add_argument(
-        "--demand-kernel",
-        choices=("forward", "qpa", "vec", "block"),
-        default=None,
-        help=(
-            "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; results "
-            "are bit-identical across kernels — see README"
-        ),
-    )
-    campaign.add_argument(
         "--journal",
         nargs="?",
         const="auto",
@@ -365,15 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--pipeline", choices=("batched", "scalar"), default="batched"
-    )
-    trace.add_argument(
-        "--demand-kernel",
-        choices=("forward", "qpa", "vec", "block"),
-        default=None,
-        help=(
-            "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); results are bit-identical"
-        ),
     )
     trace.add_argument(
         "--backend",
@@ -511,23 +482,6 @@ def _resolve_jobs(jobs: int) -> int:
     return default_jobs() if jobs == 0 else jobs
 
 
-def _apply_demand_kernel(kernel: str | None) -> None:
-    """Apply ``--demand-kernel`` to this process and its future workers.
-
-    Exporting ``REPRO_DBF_KERNEL`` makes pool/cluster workers (fork or
-    spawn) initialise on the requested kernel; ``set_demand_kernel``
-    switches the conductor process itself.  ``None`` (flag not passed)
-    leaves the env/default resolution untouched, so the documented order
-    instance > CLI > env > default holds.
-    """
-    if kernel is None:
-        return
-    from repro.analysis.dbf import set_demand_kernel
-
-    os.environ["REPRO_DBF_KERNEL"] = kernel
-    set_demand_kernel(kernel)
-
-
 def _write_obs_outputs(obs_out: str | None, trace_out: str | None) -> None:
     """Persist the obs snapshot (and span dump under tracing), if recording.
 
@@ -558,7 +512,6 @@ def _cmd_figure(args) -> int:
     from repro.runner import ProgressReporter, create_store
     from repro.util.env import runner_store_from_env
 
-    _apply_demand_kernel(args.demand_kernel)
     kwargs = {}
     if args.m:
         kwargs["m_values"] = tuple(int(v) for v in args.m.split(","))
@@ -606,7 +559,6 @@ def _cmd_trace(args) -> int:
     from repro import obs
     from repro.experiments import run_figure
 
-    _apply_demand_kernel(args.demand_kernel)
     kwargs = {}
     if args.m:
         kwargs["m_values"] = tuple(int(v) for v in args.m.split(","))
@@ -637,7 +589,6 @@ def _cmd_campaign(args) -> int:
         run_campaign,
     )
 
-    _apply_demand_kernel(args.demand_kernel)
     if args.spec and args.figures:
         raise SystemExit("pass either a spec file or --figures, not both")
     try:

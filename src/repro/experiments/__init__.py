@@ -1,6 +1,6 @@
 """Experiment harness reproducing the paper's evaluation (S12).
 
-Entry points, one per figure of the paper (see DESIGN.md §4):
+Entry points, one per figure of the paper:
 
 * :func:`~repro.experiments.figures.fig3` — acceptance ratio vs ``UB``,
   implicit deadlines, EDF-VD algorithms with a speed-up bound.

@@ -38,7 +38,7 @@ def sweep_config_to_dict(config: SweepConfig) -> dict[str, Any]:
     """JSON-compatible dict form of a sweep config.
 
     Also the canonical config serialization the runner's shard cache hashes
-    (see :mod:`repro.runner.cache`), so a config field added here
+    (see :mod:`repro.runner.store`), so a config field added here
     automatically invalidates stale cached shards.
     """
     data = {

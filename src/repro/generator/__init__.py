@@ -1,4 +1,4 @@
-"""Synthetic MC task-set generation (system S9 in DESIGN.md).
+"""Synthetic MC task-set generation (S9).
 
 Implements the experiment setup of Section IV of the paper: the fair MC
 task-set generator of Ramanathan & Easwaran (WATERS 2016) built on the

@@ -1,4 +1,4 @@
-"""Dual-criticality sporadic task model (system S1 in DESIGN.md).
+"""Dual-criticality sporadic task model (S1).
 
 The model follows Section II of the paper: each task is a tuple
 ``(T, chi, C_L, C_H, D)`` with criticality ``chi`` in ``{LC, HC}``, LO/HI-mode

@@ -23,8 +23,8 @@ Chrome-trace export.  Design rules, relied on everywhere:
 
 The ``REPRO_OBS`` env knob (``off`` | ``metrics`` | ``trace``, parsed by
 :func:`repro.util.env.obs_mode_from_env`) selects the recorder once at
-import, mirroring the ``REPRO_DBF_*`` knob pattern; :func:`set_recorder`
-overrides it at runtime (tests, the ``repro trace`` command).
+import; :func:`set_recorder` overrides it at runtime (tests, the ``repro
+trace`` command).
 """
 
 from __future__ import annotations

@@ -45,18 +45,7 @@ def to_json(
     spans: list[SpanRecord] | None = None,
     mode: str = "off",
 ) -> dict:
-    """The ``BENCH_obs.json``-compatible snapshot of one process's view.
-
-    The active demand kernel is stamped alongside the mode so every
-    exported snapshot (``--obs-out``, trace artifacts, BENCH files) is
-    self-describing about the machinery that produced its counters —
-    ``repro trace --demand-kernel vec`` and a default run are otherwise
-    indistinguishable on disk.  (Additive field; the schema stays
-    ``repro-obs-snapshot/1``.)
-    """
-    # Deferred: repro.analysis.dbf imports repro.obs at module load.
-    from repro.analysis.dbf import demand_kernel
-
+    """The ``BENCH_obs.json``-compatible snapshot of one process's view."""
     spans = spans or []
     by_name: dict[str, int] = {}
     for record in spans:
@@ -64,7 +53,6 @@ def to_json(
     return {
         "schema": SNAPSHOT_SCHEMA,
         "mode": mode,
-        "kernel": demand_kernel(),
         "counters": {
             name: value for name, value in sorted(registry.counters().items())
         },

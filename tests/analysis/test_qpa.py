@@ -1,23 +1,31 @@
-"""Differential suite for the QPA demand kernel (PR 5).
+"""Differential suite for the demand kernel against the forward oracle.
 
 The QPA backward fixed-point search, the Fisher–Baruah-style upper-bound
 screens and the descent warm starts are all *cost* layers: every verdict,
 violation point and tuning outcome must equal the forward breakpoint
-oracle's.  These tests assert that equivalence — across random task sets,
-service models, refinement on/off, scenario- and engine-level entry points
-— plus the closed-form shrink inversion against the historical bisection
-and the window-tiling regression of ``_window_points``.
+scan's.  The forward scan is reached through :func:`forward_oracle`, which
+makes every screen decline and every QPA search abort — the documented
+fallback then hands each exact decision to the forward scan.  These tests
+assert the equivalence across random task sets, service models,
+refinement on/off, horizon caps, scenario- and engine-level entry points
+and whole figures — plus the closed-form shrink inversion against the
+historical bisection and the window-tiling regression of
+``_window_points``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import dbf
 from repro.analysis.dbf import (
     DemandScenario,
+    HorizonExceeded,
     _ModeTask,
     _first_violation,
     _hi_point_demand,
@@ -25,10 +33,8 @@ from repro.analysis.dbf import (
     _next_breakpoint,
     _prev_breakpoint,
     approx_accepts,
-    demand_kernel,
     lo_feasible_exact,
     qpa_violation_search,
-    set_demand_kernel,
 )
 from repro.analysis.vdtuning import (
     DemandEngine,
@@ -42,20 +48,48 @@ from repro.analysis.vdtuning import (
 from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
 
+SERVICES = ("full-drop", "imprecise:0.5", "elastic:1.5")
 
-@pytest.fixture
-def qpa_kernel():
-    previous = set_demand_kernel("qpa")
-    yield
-    set_demand_kernel(previous)
+CHAINS = (
+    (("steepest", False),),
+    (("ratio", True), ("steepest", True), ("steepest", False)),
+)
 
 
-def run_with_kernel(kernel, fn):
-    previous = set_demand_kernel(kernel)
-    try:
+def _decline(*args, **kwargs) -> bool:
+    return False
+
+
+def _abort(*args, **kwargs) -> tuple:
+    return ("abort", None, 0)
+
+
+@contextlib.contextmanager
+def forward_oracle():
+    """Decide every exact demand check by the forward breakpoint scan.
+
+    ``approx_accepts`` declines and ``qpa_violation_search`` aborts in
+    every ``repro`` module that holds a reference to them, so each
+    decision falls through to the forward scan — the path QPA itself
+    takes when it exhausts its iteration budget.  (The O(1) density
+    accept of the LO shrink search stays on: it is a closed-form bound
+    the V* search never contradicts, not a demand scan.)
+    """
+    replacements = ((approx_accepts, _decline), (qpa_violation_search, _abort))
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("repro") or module is None:
+                continue
+            for attr, value in list(vars(module).items()):
+                for original, replacement in replacements:
+                    if value is original:
+                        patch.setattr(module, attr, replacement)
+        yield
+
+
+def run_forward(fn):
+    with forward_oracle():
         return fn()
-    finally:
-        set_demand_kernel(previous)
 
 
 # -- task-set generation -----------------------------------------------------
@@ -219,58 +253,85 @@ class TestQPASearch:
 # -- scenario- and engine-level differentials --------------------------------
 
 class TestKernelEquivalence:
-    @given(scenario_inputs())
+    @given(scenario_inputs(), st.sampled_from([100_000, 60]))
     @settings(max_examples=100, deadline=None)
-    def test_scenario_checks_identical(self, inputs):
+    def test_scenario_checks_identical(self, inputs, cap):
+        """LO and HI verdicts and earliest-violation points agree with the
+        forward oracle, refinement on and off; a small horizon cap drives
+        the HorizonExceeded paths too."""
         ts, vd, service = inputs
         tagged = attach(ts, service)
 
         def checks():
-            scenario = DemandScenario(tagged, vd)
+            scenario = DemandScenario(tagged, vd, horizon_cap=cap)
             try:
                 lo = ("lo", scenario.lo_violation())
-            except dbf.HorizonExceeded:
+            except HorizonExceeded:
                 lo = ("lo", "raise")
             out = [lo]
             for refine in (False, True):
                 try:
                     out.append((refine, scenario.hi_violation(refine=refine)))
-                except dbf.HorizonExceeded:
+                except HorizonExceeded:
                     out.append((refine, "raise"))
             return out
 
-        assert run_with_kernel("forward", checks) == run_with_kernel(
-            "qpa", checks
-        )
+        assert run_forward(checks) == checks()
 
-    @given(mc_taskset(), st.sampled_from(["full-drop", "imprecise:0.5", "elastic:1.5"]))
+    @given(
+        mc_taskset(),
+        st.sampled_from(SERVICES),
+        st.sampled_from([100_000, 60]),
+    )
+    # Pinned: a constrained HC pair whose HI horizon overruns the cap.
+    @example(
+        TaskSet(
+            [
+                MCTask(
+                    period=50,
+                    criticality=Criticality.HC,
+                    wcet_lo=10,
+                    wcet_hi=30,
+                    deadline=40,
+                ),
+                MCTask(
+                    period=70,
+                    criticality=Criticality.HC,
+                    wcet_lo=12,
+                    wcet_hi=25,
+                    deadline=45,
+                ),
+            ]
+        ),
+        "full-drop",
+        80,
+    )
     @settings(max_examples=60, deadline=None)
-    def test_tuning_outcomes_identical(self, ts, service):
-        """run_tuning_stages returns the identical TuningOutcome fields
-        under both kernels, for EY and ECDF chains, fresh and memo-backed
-        engines alike."""
+    def test_tuning_outcomes_identical(self, ts, service, cap):
+        """run_tuning_stages returns the identical TuningOutcome —
+        schedulable, deadlines, detail and iteration count — with and
+        without the forward oracle, for EY and ECDF chains, fresh and
+        memo-backed engines alike.  The small horizon caps reach the
+        "HI horizon cap exceeded" exits."""
         tagged = attach(ts, service)
-        chains = (
-            (("steepest", False),),
-            (("ratio", True), ("steepest", True), ("steepest", False)),
-        )
-        for stages in chains:
+        for stages in CHAINS:
             outcomes = []
-            for kernel in ("forward", "qpa"):
+            for oracle in (True, False):
                 for memo in (None, {}):
                     def run():
-                        engine = DemandEngine(tagged, 100_000, memo=memo)
+                        engine = DemandEngine(tagged, cap, memo=memo)
                         return run_tuning_stages(
-                            tagged, stages, 100_000, engine=engine
+                            tagged, stages, cap, engine=engine
                         )
-                    outcomes.append(run_with_kernel(kernel, run))
+                    outcomes.append(run_forward(run) if oracle else run())
             first = outcomes[0]
             for other in outcomes[1:]:
                 assert other.schedulable == first.schedulable
                 assert other.virtual_deadlines == first.virtual_deadlines
                 assert other.detail == first.detail
+                assert other.iterations == first.iterations
 
-    def test_anchor_dominance_regression(self, qpa_kernel):
+    def test_anchor_dominance_regression(self):
         """Pinned regression: QPA's witness is the largest *breakpoint*
         violation, but a dominated assignment's breakpoints differ — the
         warm-start anchor must bound the largest violating *integer*
@@ -304,7 +365,7 @@ class TestKernelEquivalence:
         scenario = DemandScenario(ts, {})
         try:
             expected = scenario.lo_violation() is None
-        except dbf.HorizonExceeded:
+        except HorizonExceeded:
             expected = False
         assert lo_feasible_exact(tasks, scenario.horizon_cap) == expected
 
@@ -384,35 +445,41 @@ class TestWindowTiling:
             assert tiled.tolist() == reference.tolist()
 
 
-# -- kernel switch / counters -------------------------------------------------
+# -- oracle routing / counters ------------------------------------------------
 
 class TestKernelControls:
-    def test_kernel_switch_round_trip(self):
-        assert demand_kernel() in ("qpa", "forward", "vec", "block")
-        previous = set_demand_kernel("forward")
-        try:
-            assert demand_kernel() == "forward"
-        finally:
-            set_demand_kernel(previous)
+    TS = TaskSet(
+        [
+            MCTask(
+                period=20,
+                criticality=Criticality.HC,
+                wcet_lo=2,
+                wcet_hi=4,
+                deadline=12,
+            )
+        ]
+    )
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown demand kernel"):
-            set_demand_kernel("sideways")
-
-    def test_counters_accumulate_and_reset(self, qpa_kernel):
+    def test_forward_oracle_bypasses_screens_and_qpa(self):
+        """Under the oracle no screen or QPA pass settles a check, and the
+        patches are gone once the block exits."""
+        scenario = DemandScenario(self.TS, {self.TS[0].task_id: 6})
         dbf.reset_kernel_counters()
-        ts = TaskSet(
-            [
-                MCTask(
-                    period=20,
-                    criticality=Criticality.HC,
-                    wcet_lo=2,
-                    wcet_hi=4,
-                    deadline=12,
-                )
-            ]
-        )
-        DemandScenario(ts, {ts[0].task_id: 6}).schedulable()
+        with forward_oracle():
+            assert dbf.approx_accepts is _decline
+            oracle = scenario.schedulable(), scenario.schedulable(refine=True)
+        counters = dbf.kernel_counters()
+        assert counters["approx-accept"] == counters["qpa-accept"] == 0
+        assert counters["qpa-runs"] == 0
+        assert dbf.approx_accepts is approx_accepts
+        fast = scenario.schedulable(), scenario.schedulable(refine=True)
+        assert fast == oracle
+        settled = dbf.kernel_counters()
+        assert settled["approx-accept"] + settled["qpa-accept"] > 0
+
+    def test_counters_accumulate_and_reset(self):
+        dbf.reset_kernel_counters()
+        DemandScenario(self.TS, {self.TS[0].task_id: 6}).schedulable()
         counters = dbf.kernel_counters()
         assert set(counters) == {
             "qpa-accept",
@@ -444,3 +511,38 @@ class TestForwardOracle:
         mask = demand > points
         expected = int(points[np.argmax(mask)]) if mask.any() else None
         assert found == expected
+
+
+# -- figure-level differential (slow tier) -----------------------------------
+
+@pytest.mark.slow
+class TestFigureVerdictParity:
+    """fig3–fig7 at miniature scale: the full figure outputs — acceptance
+    ratios, sample counts and WAR tables — must be identical with and
+    without the forward oracle.  This is the verdict level the shard store
+    and the verdict cache key on."""
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("fig3", {}),
+            ("fig4", {}),
+            ("fig5", {}),
+            ("fig6a", {"ph_values": (0.3, 0.7)}),
+            ("fig6b", {"ph_values": (0.3, 0.7)}),
+            ("fig7a", {"deg_values": (0.25, 0.75)}),
+            ("fig7b", {"deg_values": (1.5,)}),
+        ],
+    )
+    def test_figures_verdict_identical(self, name, kwargs):
+        from repro.experiments import run_figure
+        from repro.experiments.export import figure_result_to_dict
+
+        def run():
+            return figure_result_to_dict(
+                run_figure(name, samples=2, m_values=(2,), **kwargs)
+            )
+
+        assert run() == run_forward(run), (
+            f"{name}: the demand kernel diverged from the forward oracle"
+        )

@@ -230,3 +230,11 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig9"])
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_kernel_switch_flag_is_gone(self, command, capsys):
+        """There is one demand kernel: no command offers a switch."""
+        argv = [command, "fig4"] if command != "campaign" else [command]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--demand-kernel", "qpa"])
+        assert "--demand-kernel" in capsys.readouterr().err

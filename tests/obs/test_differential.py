@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.experiments.acceptance import SweepConfig
-from repro.runner.cache import ShardCache
+from repro.runner.store import ShardCache
 from repro.runner.pool import run_sweep
 
 #: one (config, algorithms) slice per figure family the repo reproduces;

@@ -131,10 +131,6 @@ class TestExporters:
         doc = to_json(obs.REGISTRY, obs.spans(), mode=obs.mode())
         assert doc["schema"].startswith("repro-obs-snapshot/")
         assert doc["mode"] == "trace"
-        # snapshots are self-describing about the demand kernel in force
-        from repro.analysis.dbf import demand_kernel
-
-        assert doc["kernel"] == demand_kernel()
         assert list(doc["counters"])[0] == "a"  # sorted
         assert doc["gauges"] == {"g": 0.25}
         assert doc["histograms"]["h"]["count"] == 1

@@ -1,15 +1,11 @@
-"""Validated env-knob parsing (REPRO_SAMPLES / REPRO_M / dbf kernel knobs)."""
+"""Validated env-knob parsing (REPRO_SAMPLES / REPRO_M and subsystem knobs)."""
 
 import pytest
 
 from repro.util.env import (
-    DBF_KERNELS,
     OBS_MODES,
     RUNNER_BACKENDS,
     RUNNER_STORES,
-    approx_k_from_env,
-    demand_kernel_from_env,
-    spec_depth_from_env,
     heartbeat_interval_from_env,
     journal_flush_interval_from_env,
     journal_path_from_env,
@@ -21,10 +17,7 @@ from repro.util.env import (
     positive_int_env,
     runner_backend_from_env,
     runner_store_from_env,
-    rank_vec_min_from_env,
     samples_from_env,
-    scan_chunk_from_env,
-    screen_valve_from_env,
     verdict_cache_dir_from_env,
     verdict_cache_from_env,
     verdict_cache_size_from_env,
@@ -45,81 +38,6 @@ class TestPositiveIntEnv:
         monkeypatch.setenv("REPRO_SAMPLES", bad)
         with pytest.raises(ValueError, match="REPRO_SAMPLES"):
             samples_from_env()
-
-
-class TestDbfKernelKnobs:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_SCAN_CHUNK", raising=False)
-        monkeypatch.delenv("REPRO_DBF_APPROX_K", raising=False)
-        assert scan_chunk_from_env() == 4096
-        assert approx_k_from_env() == 3
-
-    def test_parses_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_SCAN_CHUNK", "512")
-        monkeypatch.setenv("REPRO_DBF_APPROX_K", "7")
-        assert scan_chunk_from_env() == 512
-        assert approx_k_from_env() == 7
-
-    @pytest.mark.parametrize("knob,reader", [
-        ("REPRO_DBF_SCAN_CHUNK", scan_chunk_from_env),
-        ("REPRO_DBF_APPROX_K", approx_k_from_env),
-    ])
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
-    def test_rejects_invalid(self, monkeypatch, knob, reader, bad):
-        monkeypatch.setenv(knob, bad)
-        with pytest.raises(ValueError, match=knob):
-            reader()
-
-    def test_kernel_module_reads_knobs(self):
-        """The dbf module's constants agree with the validated parsers.
-
-        The knobs are consumed once at import (the kernel's inner loops
-        must not re-read the environment), so the invariant testable here
-        is consistency with whatever the ambient environment says.
-        """
-        from repro.analysis import dbf
-
-        assert dbf._SCAN_CHUNK == scan_chunk_from_env()
-        assert dbf._APPROX_K == approx_k_from_env()
-
-
-class TestDemandKernelKnob:
-    def test_default_is_qpa(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_KERNEL", raising=False)
-        assert demand_kernel_from_env() == "qpa"
-        assert demand_kernel_from_env(fallback="forward") == "forward"
-
-    @pytest.mark.parametrize("name", DBF_KERNELS)
-    def test_parses_every_kernel(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_DBF_KERNEL", name)
-        assert demand_kernel_from_env() == name
-
-    @pytest.mark.parametrize("bad", ["qpa2", "VEC", "fast", " qpa"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_KERNEL", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_KERNEL"):
-            demand_kernel_from_env()
-
-    def test_kernel_module_reads_knob(self):
-        from repro.analysis import dbf
-
-        assert dbf._KERNEL in DBF_KERNELS
-
-
-class TestSpecDepthKnob:
-    def test_default_is_four(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_SPEC_K", raising=False)
-        assert spec_depth_from_env() == 4
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_SPEC_K", "8")
-        assert spec_depth_from_env() == 8
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "deep"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_SPEC_K", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_SPEC_K"):
-            spec_depth_from_env()
 
 
 class TestObsMode:
@@ -271,49 +189,6 @@ class TestMValues:
         monkeypatch.setenv("REPRO_M", bad)
         with pytest.raises(ValueError, match="REPRO_M"):
             m_values_from_env()
-
-
-class TestRankVecMinKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_RANK_VEC_MIN", raising=False)
-        assert rank_vec_min_from_env() == 24
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_RANK_VEC_MIN", "8")
-        assert rank_vec_min_from_env() == 8
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "lots", "2.5"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_RANK_VEC_MIN", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_RANK_VEC_MIN"):
-            rank_vec_min_from_env()
-
-    def test_vec_module_reads_knob(self):
-        """Consumed once at import, like the other kernel knobs."""
-        from repro.analysis import dbf_vec
-
-        assert dbf_vec.RANK_VEC_MIN == rank_vec_min_from_env()
-
-
-class TestScreenValveKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_SCREEN_VALVE", raising=False)
-        assert screen_valve_from_env() == 2
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_SCREEN_VALVE", "5")
-        assert screen_valve_from_env() == 5
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "forever"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_SCREEN_VALVE", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_SCREEN_VALVE"):
-            screen_valve_from_env()
-
-    def test_tuning_module_reads_knob(self):
-        from repro.analysis import vdtuning
-
-        assert vdtuning._SCREEN_VALVE == screen_valve_from_env()
 
 
 class TestVerdictCacheKnobs:
