@@ -6,11 +6,13 @@ violation point and tuning outcome must equal the forward breakpoint
 scan's.  The forward scan is reached through :func:`forward_oracle`, which
 makes every screen decline and every QPA search abort — the documented
 fallback then hands each exact decision to the forward scan.  These tests
-assert the equivalence across random task sets, service models,
-refinement on/off, horizon caps, scenario- and engine-level entry points
-and whole figures — plus the closed-form shrink inversion against the
-historical bisection and the window-tiling regression of
-``_window_points``.
+assert the equivalence across random and pinned task sets, service
+models, refinement on/off, horizon caps, scenario- and engine-level entry
+points, the batch pre-screen and whole figures — plus the closed-form
+shrink inversion against the historical bisection, the window-tiling
+regression of ``_window_points`` and the verdict neutrality of every
+cost constant (scan chunk, screen depth, screen valve, QPA budget,
+scalar peek).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis import dbf
+from repro.analysis import dbf, vdtuning
 from repro.analysis.dbf import (
     DemandScenario,
     HorizonExceeded,
@@ -152,6 +154,34 @@ def attach(ts, service):
     return TaskSet(list(ts), service_model=parse_service_model(service))
 
 
+def scenario_checks(ts, vd, cap=100_000):
+    """LO and HI (refined and not) earliest violations, HorizonExceeded
+    recorded as ``"raise"``."""
+    scenario = DemandScenario(ts, vd, horizon_cap=cap)
+    try:
+        out = [("lo", scenario.lo_violation())]
+    except HorizonExceeded:
+        out = [("lo", "raise")]
+    for refine in (False, True):
+        try:
+            out.append((refine, scenario.hi_violation(refine=refine)))
+        except HorizonExceeded:
+            out.append((refine, "raise"))
+    return out
+
+
+def tuning_outcome(ts, stages, cap=100_000, memo=True):
+    """The comparable fields of one run_tuning_stages outcome."""
+    engine = DemandEngine(ts, cap, memo={} if memo else None)
+    outcome = run_tuning_stages(ts, stages, cap, engine=engine)
+    return (
+        outcome.schedulable,
+        outcome.virtual_deadlines,
+        outcome.detail,
+        outcome.iterations,
+    )
+
+
 # -- kernel primitives -------------------------------------------------------
 
 class TestQPASearch:
@@ -261,21 +291,7 @@ class TestKernelEquivalence:
         the HorizonExceeded paths too."""
         ts, vd, service = inputs
         tagged = attach(ts, service)
-
-        def checks():
-            scenario = DemandScenario(tagged, vd, horizon_cap=cap)
-            try:
-                lo = ("lo", scenario.lo_violation())
-            except HorizonExceeded:
-                lo = ("lo", "raise")
-            out = [lo]
-            for refine in (False, True):
-                try:
-                    out.append((refine, scenario.hi_violation(refine=refine)))
-                except HorizonExceeded:
-                    out.append((refine, "raise"))
-            return out
-
+        checks = lambda: scenario_checks(tagged, vd, cap)
         assert run_forward(checks) == checks()
 
     @given(
@@ -317,19 +333,10 @@ class TestKernelEquivalence:
         for stages in CHAINS:
             outcomes = []
             for oracle in (True, False):
-                for memo in (None, {}):
-                    def run():
-                        engine = DemandEngine(tagged, cap, memo=memo)
-                        return run_tuning_stages(
-                            tagged, stages, cap, engine=engine
-                        )
+                for memo in (False, True):
+                    run = lambda: tuning_outcome(tagged, stages, cap, memo)
                     outcomes.append(run_forward(run) if oracle else run())
-            first = outcomes[0]
-            for other in outcomes[1:]:
-                assert other.schedulable == first.schedulable
-                assert other.virtual_deadlines == first.virtual_deadlines
-                assert other.detail == first.detail
-                assert other.iterations == first.iterations
+            assert outcomes.count(outcomes[0]) == len(outcomes)
 
     def test_anchor_dominance_regression(self):
         """Pinned regression: QPA's witness is the largest *breakpoint*
@@ -511,6 +518,234 @@ class TestForwardOracle:
         mask = demand > points
         expected = int(points[np.argmax(mask)]) if mask.any() else None
         assert found == expected
+
+
+# -- engine entry points ---------------------------------------------------------
+
+class TestEngineEntryPoints:
+    """The DemandEngine queries the descent drives — HI verdicts with and
+    without refinement, and the LO shrink bound — agree with the forward
+    oracle, fresh and memo-backed engines alike."""
+
+    @pytest.mark.parametrize("service", SERVICES)
+    @given(inputs=scenario_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_hi_feasible_matches_oracle(self, service, inputs):
+        ts, vd, _ = inputs
+        tagged = attach(ts, service)
+
+        def verdicts():
+            out = []
+            for memo in (None, {}):
+                engine = DemandEngine(tagged, 100_000, memo=memo)
+                for refine in (False, True, False):
+                    try:
+                        out.append(engine.hi_feasible(vd, refine))
+                    except HorizonExceeded:
+                        out.append("raise")
+            return out
+
+        assert run_forward(verdicts) == verdicts()
+
+    @pytest.mark.parametrize("service", SERVICES)
+    @given(ts=mc_taskset())
+    @settings(max_examples=40, deadline=None)
+    def test_lo_shrink_matches_oracle(self, service, ts):
+        tagged = attach(ts, service)
+        vd = {t.task_id: t.deadline for t in tagged if t.is_high}
+
+        def shrinks():
+            out = []
+            for memo in (None, {}):
+                engine = DemandEngine(tagged, 100_000, memo=memo)
+                for task in tagged:
+                    if task.is_high:
+                        desired = task.deadline - task.wcet_lo
+                        out.append(
+                            engine.max_lo_feasible_shrink(vd, task, desired)
+                        )
+            return out
+
+        assert run_forward(shrinks) == shrinks()
+
+
+# -- pinned differential cases ------------------------------------------------
+
+def _hc(period, wcet_lo, wcet_hi, deadline=None):
+    return MCTask(
+        period=period,
+        criticality=Criticality.HC,
+        wcet_lo=wcet_lo,
+        wcet_hi=wcet_hi,
+        deadline=period if deadline is None else deadline,
+    )
+
+
+def _lc(period, wcet, deadline=None):
+    return MCTask(
+        period=period,
+        criticality=Criticality.LC,
+        wcet_lo=wcet,
+        wcet_hi=wcet,
+        deadline=period if deadline is None else deadline,
+    )
+
+
+#: Deterministic task sets the hypothesis draws may or may not reach:
+#: the anchor-dominance single task, the horizon-cap pair, an implicit
+#: HC/LC mix, an LC-heavy constrained set, a tight HC triple and an
+#: HI-mode overload (U_HI > 1).
+PINNED = {
+    "anchor-single": lambda: [_hc(42, 7, 16, 18)],
+    "horizon-pair": lambda: [_hc(50, 10, 30, 40), _hc(70, 12, 25, 45)],
+    "implicit-mix": lambda: [_hc(100, 20, 40), _hc(50, 10, 20), _lc(100, 30)],
+    "lc-heavy": lambda: [_hc(60, 6, 18, 30), _lc(40, 10, 25), _lc(30, 6, 20)],
+    "hc-triple": lambda: [_hc(20, 3, 6, 12), _hc(30, 4, 9, 20), _hc(45, 5, 12, 30)],
+    "hi-overload": lambda: [_hc(10, 3, 8), _hc(12, 3, 7, 10)],
+}
+
+
+class TestPinnedDifferentials:
+    @pytest.mark.parametrize("service", SERVICES)
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_scenario_checks(self, case, service):
+        """Full and halved virtual deadlines, uncapped and under a small
+        horizon cap: every check equals the forward oracle's."""
+        ts = attach(TaskSet(PINNED[case]()), service)
+        for cap in (100_000, 60):
+            for shrink in (1, 2):
+                vd = {
+                    t.task_id: max(t.wcet_lo, t.deadline // shrink)
+                    for t in ts
+                    if t.is_high
+                }
+                checks = lambda: scenario_checks(ts, vd, cap)
+                assert run_forward(checks) == checks(), (case, cap, shrink)
+
+    @pytest.mark.parametrize("service", SERVICES)
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_tuning_outcomes(self, case, service):
+        ts = attach(TaskSet(PINNED[case]()), service)
+        for stages in CHAINS:
+            for cap in (100_000, 80):
+                for memo in (False, True):
+                    run = lambda: tuning_outcome(ts, stages, cap, memo)
+                    assert run_forward(run) == run(), (case, stages, cap, memo)
+
+
+# -- batch pre-screen ---------------------------------------------------------
+
+class TestBatchParity:
+    """partition_batch settles demand-test rows through DemandPreScreen's
+    point screen and QPA rejects before falling back to the per-set path;
+    its accepted column must be the forward oracle's."""
+
+    @pytest.mark.parametrize(
+        "test_name,deadline_type,service",
+        [
+            ("ey", "implicit", None),
+            ("ecdf", "implicit", None),
+            ("ey", "constrained", None),
+            ("ecdf", "constrained", None),
+            ("ecdf", "constrained", "imprecise:0.5"),
+        ],
+    )
+    def test_accepted_matches_oracle(self, test_name, deadline_type, service):
+        from repro.analysis import get_test
+        from repro.core import get_strategy, partition_batch
+        from repro.generator import GeneratorConfig, MCTaskSetGenerator
+        from repro.model import TaskSetBatch
+        from repro.util.rng import derive_rng
+
+        gen = MCTaskSetGenerator(GeneratorConfig(m=2, deadline_type=deadline_type))
+        columns = []
+        for k in range(12):
+            cols = gen.generate_columns(
+                derive_rng("qpa-batch", deadline_type, k),
+                0.3 + (k % 6) * 0.1,
+                0.1 + (k % 3) * 0.1,
+                0.2 + (k % 4) * 0.1,
+            )
+            if cols is not None:
+                columns.append(cols)
+        assert columns
+
+        def accepted():
+            batch = TaskSetBatch(columns, service_model=service)
+            outcome = partition_batch(
+                batch, 2, get_test(test_name), get_strategy("cu-udp")
+            )
+            return list(outcome.accepted)
+
+        assert run_forward(accepted) == accepted()
+
+
+# -- cost constants -----------------------------------------------------------
+
+class TestCostConstants:
+    """The scan chunk, the screen depth k, the LO screen valve, the QPA
+    iteration budget and the descent's scalar peek are cost policies: any
+    positive value (any non-negative one for the valve and the peek)
+    decides the identical verdicts and tuning trajectories as the module
+    defaults."""
+
+    @staticmethod
+    def patched(module, name, value, fn):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, value)
+            return fn()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    @given(inputs=scenario_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_scan_chunk(self, chunk, inputs):
+        """The forward scan's chunking never moves the earliest violation."""
+        ts, vd, service = inputs
+        tagged = attach(ts, service)
+        checks = lambda: scenario_checks(tagged, vd)
+        chunked = self.patched(dbf, "_SCAN_CHUNK", chunk, lambda: run_forward(checks))
+        assert chunked == checks()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    @given(ts=mc_taskset(), service=st.sampled_from(SERVICES))
+    @settings(max_examples=25, deadline=None)
+    def test_approx_k(self, k, ts, service):
+        tagged = attach(ts, service)
+        for stages in CHAINS:
+            run = lambda: tuning_outcome(tagged, stages)
+            assert self.patched(dbf, "_APPROX_K", k, run) == run()
+
+    @pytest.mark.parametrize("valve", [0, 1, 4, 1000])
+    @given(ts=mc_taskset(implicit=False), service=st.sampled_from(SERVICES))
+    @settings(max_examples=25, deadline=None)
+    def test_screen_valve(self, valve, ts, service):
+        tagged = attach(ts, service)
+        for stages in CHAINS:
+            run = lambda: tuning_outcome(tagged, stages)
+            assert self.patched(vdtuning, "_SCREEN_VALVE", valve, run) == run()
+
+    @pytest.mark.parametrize("budget", [1, 2, 8])
+    @given(inputs=scenario_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_qpa_iteration_budget(self, budget, inputs):
+        """A QPA search that exhausts its budget hands the decision to the
+        forward scan; scenario checks and tuning are unchanged."""
+        ts, vd, service = inputs
+        tagged = attach(ts, service)
+
+        def run():
+            return scenario_checks(tagged, vd), tuning_outcome(tagged, CHAINS[1])
+
+        assert self.patched(dbf, "_QPA_ITER_CAP", budget, run) == run()
+
+    @pytest.mark.parametrize("walk", [0, 1, 5])
+    @given(ts=mc_taskset(), service=st.sampled_from(SERVICES))
+    @settings(max_examples=25, deadline=None)
+    def test_micro_walk(self, walk, ts, service):
+        tagged = attach(ts, service)
+        for stages in CHAINS:
+            run = lambda: tuning_outcome(tagged, stages)
+            assert self.patched(vdtuning, "_MICRO_WALK", walk, run) == run()
 
 
 # -- figure-level differential (slow tier) -----------------------------------
