@@ -1,11 +1,11 @@
 """Campaign-runner benchmarks: parallel speedup and cache-hit latency.
 
-Measures the three execution paths of ``repro.runner`` over the same
+Measures the execution paths of ``repro.runner`` over the same
 fig3-style sweep so their relative cost is tracked release over release:
 
 * serial (the pre-runner baseline path),
-* a ``jobs=2`` worker pool (expect <1x wall time, approaching 0.5x for
-  shard-dominated runs),
+* ``jobs=2`` on the auto-selected cluster backend (expect <1x wall time,
+  approaching 0.5x for shard-dominated runs),
 * a fully warm shard cache (expect near-zero compute, i.e. the cost of
   hashing + JSON loads only).
 
@@ -20,7 +20,7 @@ import time
 from conftest import bench_samples, emit
 
 from repro.experiments.acceptance import SweepConfig
-from repro.runner import ShardCache, run_sweep
+from repro.runner import FsStore, run_sweep
 from repro.util.tables import format_table
 
 ALGORITHMS = ("ca-udp-edf-vd", "cu-udp-edf-vd", "ca-nosort-f-f-edf-vd")
@@ -50,7 +50,7 @@ def test_runner_speedup_and_cache(once, tmp_path):
     )
     assert parallel == serial  # determinism is part of the contract
 
-    cache = ShardCache(tmp_path / "cache")
+    cache = FsStore(tmp_path / "cache")
     warm_s, _ = _timed(lambda: run_sweep(config, ALGORITHMS, cache=cache))
     hit_s, cached = _timed(lambda: run_sweep(config, ALGORITHMS, cache=cache))
     assert cached == serial
@@ -58,7 +58,7 @@ def test_runner_speedup_and_cache(once, tmp_path):
 
     rows = [
         ["serial jobs=1", f"{serial_s:.3f}", "1.00x"],
-        ["pool jobs=2", f"{parallel_s:.3f}", f"{serial_s / parallel_s:.2f}x"],
+        ["cluster jobs=2", f"{parallel_s:.3f}", f"{serial_s / parallel_s:.2f}x"],
         ["cold cache", f"{warm_s:.3f}", f"{serial_s / warm_s:.2f}x"],
         ["warm cache", f"{hit_s:.3f}", f"{serial_s / hit_s:.2f}x"],
     ]

@@ -21,7 +21,7 @@ back onto the caller's actual task objects before it is returned.
 
 Two tiers: a bounded in-process LRU (``REPRO_VERDICT_CACHE_SIZE``) and
 an optional persistent tier (``REPRO_VERDICT_CACHE_DIR``) that reuses
-the four :class:`~repro.runner.store.ShardStore` blob primitives —
+the four :class:`~repro.runner.store.FsStore` blob primitives —
 get/put/exists/discard on content-addressed JSON blobs, multi-writer
 safe, any malformed or doubtful payload treated as a miss and
 discarded.
@@ -91,9 +91,9 @@ class _Config:
         if self.enabled and directory:
             # Deferred import: runner.store pulls the experiments layer,
             # which imports the analysis stack this module lives in.
-            from repro.runner.store import create_store
+            from repro.runner.store import FsStore
 
-            self.store = create_store("object", directory)
+            self.store = FsStore(directory)
 
 
 _CONFIG: _Config | None = None

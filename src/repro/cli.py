@@ -12,7 +12,7 @@ Commands
     Validate an accepted task set against the adversarial scenario battery.
 ``figure``
     Run one of the paper's figure experiments and print its tables
-    (``--jobs N`` fans buckets out over a worker pool; ``--cache-dir``
+    (``--jobs N`` fans buckets out over worker processes; ``--cache-dir``
     makes the run resumable).  With ``REPRO_OBS`` set, the collected
     metrics snapshot (and, under ``trace``, the Chrome-trace span dump)
     are written alongside the tables.
@@ -49,11 +49,29 @@ import sys
 
 from repro.analysis import get_test, registered_tests
 from repro.core import get_strategy, partition, registered_strategies
+from repro.experiments.figures import FIGURES
 from repro.generator import MCTaskSetGenerator
 from repro.model import TaskSet
+from repro.util.env import RUNNER_BACKENDS, parse_m_values, parse_positive_int
 from repro.util.rng import derive_rng
 
 __all__ = ["main", "build_parser"]
+
+
+def _m_values_arg(raw: str) -> tuple[int, ...]:
+    """argparse type for ``--m``: comma-separated positive processor counts."""
+    try:
+        return parse_m_values(raw, "--m")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _samples_arg(raw: str) -> int:
+    """argparse type for ``--samples``: a positive task-set count."""
+    try:
+        return parse_positive_int(raw, "--samples")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", default="cli-sim")
 
     figure = sub.add_parser("figure", help="run a paper figure experiment")
+    figure.add_argument("name", choices=FIGURES)
+    figure.add_argument("--samples", type=_samples_arg, default=None)
     figure.add_argument(
-        "name",
-        choices=("fig3", "fig4", "fig5", "fig6a", "fig6b", "fig7a", "fig7b"),
-    )
-    figure.add_argument("--samples", type=int, default=None)
-    figure.add_argument(
-        "--m", default=None, help="comma-separated processor counts"
+        "--m",
+        type=_m_values_arg,
+        default=None,
+        help="comma-separated processor counts",
     )
     figure.add_argument(
         "--jobs",
@@ -135,41 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard cache directory; reruns resume instead of recomputing",
     )
-    figure.add_argument(
-        "--backend",
-        choices=("serial", "pool", "cluster"),
-        default=None,
-        help=(
-            "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
-            "for --jobs 1 and pool otherwise); 'cluster' adds work-stealing "
-            "with heartbeat/lease fault recovery — results are identical"
-        ),
+    backend_help = (
+        "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
+        "for --jobs 1 and cluster otherwise); 'cluster' is work-stealing "
+        "with heartbeat/lease fault recovery — results are identical"
     )
     figure.add_argument(
-        "--store",
-        choices=("fs", "object"),
-        default=None,
-        help=(
-            "shard-store layout under --cache-dir (default: "
-            "REPRO_RUNNER_STORE, else fs); 'object' is the flat "
-            "content-keyed bucket multiple hosts can share"
-        ),
+        "--backend", choices=RUNNER_BACKENDS, default=None, help=backend_help
     )
     figure.add_argument(
         "-o", "--output", default=None, help="also save the result JSON here"
     )
     figure.add_argument(
         "--progress", action="store_true", help="live shard progress on stderr"
-    )
-    figure.add_argument(
-        "--pipeline",
-        choices=("batched", "scalar"),
-        default="batched",
-        help=(
-            "sweep execution pipeline: 'batched' (columnar prefilters + "
-            "ledger replay, default) or 'scalar' (per-taskset); results "
-            "are identical"
-        ),
     )
     figure.add_argument(
         "--obs-out",
@@ -211,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated figure names (alternative to a spec file)",
     )
-    campaign.add_argument("--samples", type=int, default=None)
+    campaign.add_argument("--samples", type=_samples_arg, default=None)
     campaign.add_argument(
         "--jobs",
         type=int,
@@ -227,39 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard cache directory (default: <out>/cache)",
     )
     campaign.add_argument(
-        "--backend",
-        choices=("serial", "pool", "cluster"),
-        default=None,
-        help=(
-            "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
-            "for --jobs 1 and pool otherwise); 'cluster' adds work-stealing "
-            "with heartbeat/lease fault recovery — results are identical"
-        ),
-    )
-    campaign.add_argument(
-        "--store",
-        choices=("fs", "object"),
-        default=None,
-        help=(
-            "shard-store layout (default: REPRO_RUNNER_STORE, else fs); "
-            "'object' is the flat content-keyed bucket multiple hosts can "
-            "share via --cache-dir on common storage"
-        ),
+        "--backend", choices=RUNNER_BACKENDS, default=None, help=backend_help
     )
     campaign.add_argument(
         "--no-progress",
         action="store_true",
         help="suppress the live progress line",
-    )
-    campaign.add_argument(
-        "--pipeline",
-        choices=("batched", "scalar"),
-        default="batched",
-        help=(
-            "sweep execution pipeline: 'batched' (columnar prefilters + "
-            "ledger replay, default) or 'scalar' (per-taskset); results "
-            "are identical"
-        ),
     )
     campaign.add_argument(
         "--journal",
@@ -329,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a figure with tracing forced on; write the span dump",
     )
+    trace.add_argument("name", choices=FIGURES)
+    trace.add_argument("--samples", type=_samples_arg, default=None)
     trace.add_argument(
-        "name",
-        choices=("fig3", "fig4", "fig5", "fig6a", "fig6b", "fig7a", "fig7b"),
-    )
-    trace.add_argument("--samples", type=int, default=None)
-    trace.add_argument(
-        "--m", default=None, help="comma-separated processor counts"
+        "--m",
+        type=_m_values_arg,
+        default=None,
+        help="comma-separated processor counts",
     )
     trace.add_argument(
         "--jobs",
@@ -344,13 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 = all cores, default 1 = serial)",
     )
     trace.add_argument(
-        "--pipeline", choices=("batched", "scalar"), default="batched"
-    )
-    trace.add_argument(
-        "--backend",
-        choices=("serial", "pool", "cluster"),
-        default=None,
-        help="executor backend (default: REPRO_RUNNER_BACKEND, else auto)",
+        "--backend", choices=RUNNER_BACKENDS, default=None, help=backend_help
     )
     trace.add_argument(
         "--trace-out",
@@ -509,14 +472,10 @@ def _cmd_figure(args) -> int:
     from repro.experiments.export import save_figure_result
     from repro.experiments.report import render_figure, render_sweep_diagnostics
     from repro.obs.journal import emit_open, journal_env
-    from repro.runner import ProgressReporter, create_store
-    from repro.util.env import runner_store_from_env
+    from repro.runner import FsStore, ProgressReporter
 
-    kwargs = {}
-    if args.m:
-        kwargs["m_values"] = tuple(int(v) for v in args.m.split(","))
-    store_kind = args.store if args.store else runner_store_from_env()
-    cache = create_store(store_kind, args.cache_dir) if args.cache_dir else None
+    kwargs = {"m_values": args.m} if args.m else {}
+    cache = FsStore(args.cache_dir) if args.cache_dir else None
     progress = ProgressReporter(label=args.name) if args.progress else None
     diagnostics: list = []
     # The registry is cumulative per process; a baseline keeps the printed
@@ -532,7 +491,6 @@ def _cmd_figure(args) -> int:
             jobs=_resolve_jobs(args.jobs),
             cache=cache,
             progress=progress,
-            pipeline=args.pipeline,
             backend=args.backend,
             diagnostics=diagnostics,
             **kwargs,
@@ -559,16 +517,13 @@ def _cmd_trace(args) -> int:
     from repro import obs
     from repro.experiments import run_figure
 
-    kwargs = {}
-    if args.m:
-        kwargs["m_values"] = tuple(int(v) for v in args.m.split(","))
+    kwargs = {"m_values": args.m} if args.m else {}
     previous = obs.set_recorder(obs.TraceRecorder(obs.REGISTRY))
     try:
         run_figure(
             args.name,
             samples=args.samples,
             jobs=_resolve_jobs(args.jobs),
-            pipeline=args.pipeline,
             backend=args.backend,
             **kwargs,
         )
@@ -620,9 +575,7 @@ def _cmd_campaign(args) -> int:
         jobs=_resolve_jobs(args.jobs),
         cache_dir=args.cache_dir,
         progress=progress,
-        pipeline=args.pipeline,
         backend=args.backend,
-        store=args.store,
         journal=journal,
     )
     figure_word = "figure" if len(report.outputs) == 1 else "figures"

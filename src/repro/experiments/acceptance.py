@@ -5,20 +5,15 @@ utilization ``UB``, generate many task sets (1000 in the paper) from the
 grid combinations mapping to that ``UB`` and report, per partitioned
 algorithm, the fraction deemed schedulable.
 
-Two pipelines produce the same numbers:
-
-* ``"batched"`` (the default) — task sets are generated straight into a
-  columnar :class:`~repro.model.batch.TaskSetBatch` and every algorithm
-  runs through :func:`repro.core.batch.partition_batch`: the exact
-  prefilter bank and the utilization-ledger replay settle what they can
-  from the columns, and only the remaining sets are materialized for the
-  incremental per-taskset path;
-* ``"scalar"`` — the historical one-taskset-at-a-time loop.
-
-The batched pipeline is bit-identical to the scalar one by construction
-(same derived RNG streams, exact-only settling; asserted by the
-differential tests), so ratios, WAR tables and shard-cache keys never
-depend on the pipeline choice — it is purely a throughput knob.
+Task sets are generated straight into a columnar
+:class:`~repro.model.batch.TaskSetBatch` and every algorithm runs through
+:func:`repro.core.batch.partition_batch`: the exact prefilter bank and
+the utilization-ledger replay settle what they can from the columns, and
+only the remaining sets are materialized for the incremental per-taskset
+path.  The one-taskset-at-a-time loop (``pipeline="scalar"``) is kept
+only as the reference the differential tests and the benchmark's oracle
+compare against; the batched path is bit-identical to it by construction
+(same derived RNG streams, exact-only settling).
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ __all__ = [
     "validate_algorithms",
 ]
 
-#: Recognized sweep execution pipelines (see module docstring).
+#: The production pipeline and the reference loop (see module docstring).
 PIPELINES = ("batched", "scalar")
 
 
@@ -100,6 +95,15 @@ class SweepConfig:
     #: — task-set generation itself is service-agnostic, so curves across
     #: service values share the same task-set sample
     service: str = "full-drop"
+
+    def __post_init__(self):
+        # An empty sweep would silently render as an empty figure.
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.samples_per_bucket < 1:
+            raise ValueError(
+                f"samples_per_bucket must be >= 1, got {self.samples_per_bucket}"
+            )
 
 
 @dataclass
@@ -167,7 +171,7 @@ def merge_outcomes(
 ) -> SweepResult:
     """Assemble per-bucket shards into the result the serial sweep produces.
 
-    Outcomes may arrive in any order (e.g. from a worker pool); they are
+    Outcomes may arrive in any order (e.g. from parallel workers); they are
     sorted by bucket and empty buckets are dropped, exactly mirroring the
     serial loop, so the merged result is bit-identical to a serial run.
     """
@@ -238,8 +242,8 @@ def kernel_summary(
 
     The batched shard runner records per-algorithm ``kernel.<algorithm>.
     <counter>`` deltas into :data:`repro.obs.REGISTRY` (workers ship theirs
-    through the pool), and this folds them back into the report shape the
-    ``--pipeline`` diagnostics print: the ``qpa-accept`` /
+    back with each shard), and this folds them back into the report shape
+    the CLI's figure diagnostics print: the ``qpa-accept`` /
     ``approx-accept`` / ``approx-reject`` settle counters, with the
     run/iteration totals collapsed to ``qpa-iter-mean`` (mean backward
     fixed-point iterations per QPA search).
@@ -429,8 +433,8 @@ class AcceptanceSweep:
                     bank = default_prefilter_bank()
                     self._banks[algorithm.name] = bank
                 # Always-on (like the kernel counters themselves): the
-                # per-algorithm delta feeds kernel_summary() and the CLI
-                # --pipeline diagnostics, which predate the REPRO_OBS knob.
+                # per-algorithm delta feeds kernel_summary() and the CLI's
+                # figure diagnostics, which predate the REPRO_OBS knob.
                 before = kernel_counters()
                 outcome = partition_batch(
                     batch,

@@ -15,9 +15,9 @@ Chrome-trace export.  Design rules, relied on everywhere:
   ``active()``/``tracing()`` check.  (The demand-kernel counters predate
   this subsystem and stay *always on* as a registry counter scope — plain
   dict increments, exactly their historical cost — because the CLI
-  pipeline diagnostics must work without any knob.)
+  figure diagnostics must work without any knob.)
 * **Mergeable.**  Worker processes ship their registry snapshot and spans
-  back through the pool (:func:`capture_payload` / :func:`absorb_payload`)
+  back with each shard (:func:`capture_payload` / :func:`absorb_payload`)
   and the parent folds them in associatively, so parallel runs report the
   same totals as serial ones.
 

@@ -7,23 +7,19 @@ exactly those shards and runs them fast, restartably and survivably:
 * :mod:`repro.runner.units` — decompose a sweep into picklable
   :class:`~repro.runner.units.WorkUnit` shards; ``run_unit`` executes one.
 * :mod:`repro.runner.executor` — the ``ExecutorBackend`` protocol
-  (``submit``/``as_completed``/``shutdown``) with in-process
-  :class:`~repro.runner.executor.SerialBackend` and fork-pool
-  :class:`~repro.runner.executor.ProcessPoolBackend` implementations;
-  worker failures surface as typed
-  :class:`~repro.runner.executor.WorkerCrashError`\\ s.
-* :mod:`repro.runner.cluster` — the work-stealing
+  (``submit``/``as_completed``/``shutdown``) and the in-process
+  :class:`~repro.runner.executor.SerialBackend`; worker failures surface
+  as typed :class:`~repro.runner.executor.WorkerCrashError`\\ s.
+* :mod:`repro.runner.cluster` — the parallel backend, work-stealing
   :class:`~repro.runner.cluster.ClusterBackend`: lease-based claims,
   heartbeat liveness, re-dispatch of units lost to killed/hung workers,
   exactly-once merge.
-* :mod:`repro.runner.store` — the ``ShardStore`` interface over the
-  content-addressed shard layout: :class:`~repro.runner.store.FsStore`
-  (PR 1's ``ShardCache``) and the flat multi-host
-  :class:`~repro.runner.store.ObjectStore`; interrupted campaigns
-  resume, re-renders never recompute.
+* :mod:`repro.runner.store` — :class:`~repro.runner.store.FsStore`, the
+  content-addressed shard store; interrupted campaigns resume,
+  re-renders never recompute.
 * :mod:`repro.runner.pool` — ``run_sweep``/``execute_units`` conduct
-  store + backend + obs with a deterministic merge: every backend ×
-  store combination is bit-identical to the serial, uncached path.
+  store + backend + obs with a deterministic merge: both backends, cached
+  or not, are bit-identical to the serial, uncached path.
 * :mod:`repro.runner.campaign` — declarative
   :class:`~repro.runner.campaign.CampaignSpec` over many figures.
 * :mod:`repro.runner.progress` — live shard counts, retries, worker
@@ -47,7 +43,6 @@ from repro.runner.cluster import ClusterBackend
 from repro.runner.executor import (
     ExecutorBackend,
     FabricObserver,
-    ProcessPoolBackend,
     SerialBackend,
     UnitResult,
     WorkerCrashError,
@@ -60,9 +55,6 @@ from repro.runner.progress import ProgressReporter, format_eta
 from repro.runner.store import (
     SHARD_FORMAT_VERSION,
     FsStore,
-    ObjectStore,
-    ShardCache,
-    ShardStore,
     create_store,
     unit_key,
 )
@@ -70,10 +62,7 @@ from repro.runner.units import WorkUnit, decompose_sweep, run_unit
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
-    "ShardStore",
-    "ShardCache",
     "FsStore",
-    "ObjectStore",
     "create_store",
     "unit_key",
     "CampaignReport",
@@ -82,7 +71,6 @@ __all__ = [
     "run_campaign",
     "ExecutorBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ClusterBackend",
     "UnitResult",
     "WorkerCrashError",

@@ -19,11 +19,16 @@ from typing import Any
 from repro import obs
 from repro.obs.journal import emit_open, journal_env
 from repro.experiments.export import save_figure_result
-from repro.experiments.figures import FIGURES, PAPER_FIGURES, run_figure
+from repro.experiments.figures import (
+    FIGURES,
+    PAPER_FIGURES,
+    figure_plan,
+    run_figure,
+)
 from repro.runner.executor import ExecutorBackend
 from repro.runner.progress import ProgressReporter
-from repro.runner.store import create_store
-from repro.util.env import runner_backend_from_env, runner_store_from_env
+from repro.runner.store import FsStore
+from repro.util.env import runner_backend_from_env
 
 __all__ = ["FigureJob", "CampaignSpec", "CampaignReport", "run_campaign"]
 
@@ -50,6 +55,9 @@ class FigureJob:
             raise ValueError(f"{self.figure} does not sweep degradation values")
         if not self.key:
             object.__setattr__(self, "key", self.figure)
+        # Plan now so a bad scale (e.g. samples=0) fails before any figure
+        # of the campaign runs.
+        figure_plan(self.figure, **self.run_kwargs())
 
     def run_kwargs(self) -> dict[str, Any]:
         kwargs: dict[str, Any] = {"samples": self.samples}
@@ -157,7 +165,6 @@ class CampaignReport:
     shards_computed: int = 0
     shards_cached: int = 0
     backend: str = "auto"
-    store: str = "fs"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -166,7 +173,6 @@ class CampaignReport:
             "shards_computed": self.shards_computed,
             "shards_cached": self.shards_cached,
             "backend": self.backend,
-            "store": self.store,
         }
 
 
@@ -177,9 +183,7 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressReporter | None = None,
-    pipeline: str = "batched",
     backend: "str | ExecutorBackend | None" = None,
-    store: str | None = None,
     journal: str | Path | None = None,
 ) -> CampaignReport:
     """Execute ``spec``, writing one ``<key>.json`` per figure job.
@@ -187,12 +191,9 @@ def run_campaign(
     The shard store defaults to ``<out_dir>/cache`` so simply re-running
     the same command resumes/finishes an interrupted campaign; point
     ``cache_dir`` at shared storage to pool shards across campaigns and
-    hosts.  ``pipeline`` selects the shard execution path (columnar
-    ``"batched"`` by default), ``backend`` the executor (``serial`` /
-    ``pool`` / ``cluster``; default consults ``REPRO_RUNNER_BACKEND``)
-    and ``store`` the shard-store layout (``fs`` / ``object``; default
-    consults ``REPRO_RUNNER_STORE``) — outputs and shard payloads are
-    identical under every combination.
+    hosts.  ``backend`` picks the executor (``serial`` / ``cluster``;
+    default consults ``REPRO_RUNNER_BACKEND``) — outputs and shard
+    payloads are identical under either.
 
     ``journal`` names the durable event-journal file (``--journal`` on
     the CLI); ``None`` consults ``REPRO_OBS_JOURNAL``.  The path is
@@ -203,17 +204,13 @@ def run_campaign(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    store_kind = store if store is not None else runner_store_from_env()
-    cache = create_store(
-        store_kind, cache_dir if cache_dir is not None else out / "cache"
-    )
+    cache = FsStore(cache_dir if cache_dir is not None else out / "cache")
 
     report = CampaignReport(spec)
     if isinstance(backend, ExecutorBackend):
         report.backend = backend.name
     else:
         report.backend = backend or runner_backend_from_env("") or "auto"
-    report.store = store_kind
     with journal_env(journal) as jrnl:
         if jrnl is not None:
             emit_open(jrnl, campaign=spec.name)
@@ -222,7 +219,6 @@ def run_campaign(
                 campaign=spec.name,
                 figures=[job.key for job in spec.figures],
                 backend=report.backend,
-                store=store_kind,
             )
         with obs.span("campaign", campaign=spec.name):
             for job in spec.figures:
@@ -234,7 +230,6 @@ def run_campaign(
                         jobs=jobs,
                         cache=cache,
                         progress=progress,
-                        pipeline=pipeline,
                         backend=backend,
                         **job.run_kwargs(),
                     )

@@ -26,7 +26,7 @@ parent itself dying:
 A unit that keeps failing (``max_attempts`` worker deaths, hangs or
 exceptions) raises a typed :class:`~repro.runner.executor.
 WorkerCrashError` carrying the unit's content key, attempt count and the
-last heartbeat age — never a raw traceback from pool internals.
+last heartbeat age — never a raw traceback from worker internals.
 
 Results travel over a ``SimpleQueue``, whose sends complete in the
 calling thread before ``put`` returns — a worker killed *between* sends
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing
 import threading
 import time
 import traceback
@@ -66,7 +67,6 @@ from repro.runner.executor import (
     UnitResult,
     WorkerCrashError,
     payload_busy_seconds,
-    pool_context,
     run_unit_observed,
 )
 from repro.runner.store import unit_key
@@ -78,6 +78,16 @@ from repro.util.env import (
 )
 
 __all__ = ["ClusterBackend"]
+
+
+def _mp_context() -> multiprocessing.context.BaseContext:
+    # fork keeps worker start-up negligible next to shard runtimes; fall
+    # back to spawn where fork does not exist (Windows).
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
 
 #: Cap on the exponential re-dispatch backoff (seconds).
 BACKOFF_CAP = 2.0
@@ -192,7 +202,7 @@ class ClusterBackend(ExecutorBackend):
             "worker_errors": 0,
         }
         self._units: list[WorkUnit] = []
-        self._ctx = pool_context()
+        self._ctx = _mp_context()
         self._procs: list = []
         self._task_q = None
         self._result_q = None

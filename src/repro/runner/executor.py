@@ -9,15 +9,12 @@ outcome is a pure function of the unit (see :mod:`repro.runner.units`);
 backends only decide *where* and *with what fault tolerance* units run.
 
 * :class:`SerialBackend` — in-process, in order; no pickling, no
-  subprocesses.  The reference all other backends are verified against.
-* :class:`ProcessPoolBackend` — the classic ``multiprocessing`` fork
-  pool (PR 1's execution path, behavior-preserving).  A unit that raises
-  surfaces as a typed :class:`WorkerCrashError` instead of a raw
-  traceback bubbling out of ``imap``.
+  subprocesses.  The reference the parallel backend is verified against.
 * :class:`~repro.runner.cluster.ClusterBackend` — work-stealing queue
   over independent worker subprocesses with lease-based claims,
   heartbeat liveness and re-dispatch of units lost to killed or hung
-  workers (its own module).
+  workers (its own module).  A unit that raises surfaces as a typed
+  :class:`WorkerCrashError` instead of a raw remote traceback.
 
 Observability rides the same wire as before the fabric existed: every
 out-of-process worker clears the process :data:`repro.obs.REGISTRY`
@@ -26,15 +23,13 @@ before a unit and ships its contribution back next to the outcome
 associatively, so counters, histograms and (under ``REPRO_OBS=trace``)
 spans survive any backend with the same totals a serial run reports.
 Payloads are always shipped, because the demand-kernel counters behind
-the CLI ``--pipeline`` diagnostics predate the ``REPRO_OBS`` knob and
-must keep working with it off; everything gated stays near-free.
+the CLI's figure diagnostics predate the ``REPRO_OBS`` knob and must
+keep working with it off; everything gated stays near-free.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -45,7 +40,7 @@ from repro.obs.journal import active_journal
 from repro.experiments.acceptance import BucketOutcome
 from repro.runner.store import unit_key
 from repro.runner.units import WorkUnit, run_unit
-from repro.util.env import runner_backend_from_env
+from repro.util.env import RUNNER_BACKENDS, runner_backend_from_env
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.progress import ProgressReporter
@@ -56,9 +51,7 @@ __all__ = [
     "FabricObserver",
     "ExecutorBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "default_jobs",
-    "pool_context",
     "resolve_backend",
     "registered_backends",
 ]
@@ -67,15 +60,6 @@ __all__ = [
 def default_jobs() -> int:
     """A sensible worker count for ``--jobs 0`` (\"use the machine\")."""
     return max(1, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1))
-
-
-def pool_context() -> multiprocessing.context.BaseContext:
-    # fork keeps worker start-up negligible next to shard runtimes; fall
-    # back to spawn where fork does not exist (Windows).
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,7 @@ class UnitResult:
 class WorkerCrashError(RuntimeError):
     """A work unit could not be completed by any worker.
 
-    Carries everything a post-mortem needs instead of a raw pool
+    Carries everything a post-mortem needs instead of a raw worker
     traceback: the failing :class:`WorkUnit` and its content key (the
     shard the campaign is missing), how many attempts were made, the age
     of the responsible worker's last heartbeat when it was given up on,
@@ -343,75 +327,9 @@ class SerialBackend(ExecutorBackend):
         pass
 
 
-def _pool_entry(job: tuple[int, WorkUnit]) -> tuple[int, str, object, dict | None]:
-    """Picklable pool-worker function: never raises, always reports.
-
-    Returns ``(pos, "ok", outcome, payload)`` or ``(pos, "error",
-    formatted traceback, None)`` so the parent can raise a typed
-    :class:`WorkerCrashError` naming the unit instead of surfacing a raw
-    remote traceback out of ``imap``.
-    """
-    pos, unit = job
-    try:
-        outcome, payload = run_unit_observed(unit, "pool")
-    except Exception:
-        return pos, "error", traceback.format_exc(), None
-    return pos, "ok", outcome, payload
-
-
-class ProcessPoolBackend(ExecutorBackend):
-    """Today's fork pool behind the backend protocol (behavior-preserving):
-    ``imap`` with chunksize 1, results yielded in submission order."""
-
-    name = "pool"
-
-    def __init__(self, workers: int, observer: FabricObserver | None = None):
-        self.workers = max(1, workers)
-        self.observer = observer or FabricObserver()
-        self._units: list[WorkUnit] = []
-        self._pool = None
-
-    def submit(self, units: Sequence[WorkUnit]) -> None:
-        self._units = list(units)
-        self.workers = min(self.workers, max(1, len(self._units)))
-
-    def as_completed(self) -> Iterator[UnitResult]:
-        busy = 0.0
-        started = clock.monotonic()
-        self._pool = pool_context().Pool(processes=self.workers)
-        self.observer.workers_changed(self.workers, self.workers)
-        try:
-            computed = self._pool.imap(
-                _pool_entry, list(enumerate(self._units)), chunksize=1
-            )
-            for pos, status, result, payload in computed:
-                if status == "error":
-                    raise WorkerCrashError(
-                        self._units[pos], attempts=1, detail=str(result)
-                    )
-                busy += payload_busy_seconds(payload)
-                yield UnitResult(pos, result, payload)
-        finally:
-            self.shutdown()
-        if obs.active() and self.workers > 1:
-            wall = clock.monotonic() - started
-            if wall > 0:
-                obs.REGISTRY.set_gauge(
-                    "runner.worker-utilization",
-                    min(1.0, busy / (self.workers * wall)),
-                )
-
-    def shutdown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-            self.observer.workers_changed(0, self.workers)
-
-
 def registered_backends() -> tuple[str, ...]:
     """The executor backend names the fabric can instantiate."""
-    return ("serial", "pool", "cluster")
+    return RUNNER_BACKENDS
 
 
 def resolve_backend(
@@ -425,9 +343,8 @@ def resolve_backend(
 
     Resolution order: an explicit instance wins; an explicit name is
     honored as-is; ``None``/``""`` consults ``REPRO_RUNNER_BACKEND``; an
-    empty knob auto-selects exactly like the pre-fabric runner —
-    ``pool`` when both ``jobs`` and the pending unit count exceed one,
-    in-process ``serial`` otherwise.
+    empty knob auto-selects ``cluster`` when both ``jobs`` and the
+    pending unit count exceed one, in-process ``serial`` otherwise.
     """
     if isinstance(backend, ExecutorBackend):
         if observer is not None:
@@ -435,12 +352,10 @@ def resolve_backend(
         return backend
     name = backend if backend else runner_backend_from_env("")
     if not name:
-        name = "pool" if jobs > 1 and pending > 1 else "serial"
+        name = "cluster" if jobs > 1 and pending > 1 else "serial"
     workers = min(max(1, jobs), max(1, pending))
     if name == "serial":
         return SerialBackend(observer=observer)
-    if name == "pool":
-        return ProcessPoolBackend(workers, observer=observer)
     if name == "cluster":
         from repro.runner.cluster import ClusterBackend
 

@@ -2,18 +2,19 @@
 
 The contract, relied on by the equivalence tests: for a fixed config and
 algorithm list, :func:`run_sweep` returns a result **bit-identical** to
-``AcceptanceSweep(config).run(...)`` no matter the executor backend, the
-job count, the shard store's state, or the order workers finish in.
+the per-taskset reference loop, ``AcceptanceSweep(config,
+pipeline="scalar").run(...)``, no matter the executor backend, the job
+count, the shard store's state, or the order workers finish in.
 Determinism comes for free from the per-replicate RNG derivation (see
 :mod:`repro.util.rng`); this module only has to preserve unit identity
 and merge in bucket order.
 
 The heavy lifting lives one layer down: :mod:`repro.runner.executor`
-defines the ``ExecutorBackend`` protocol (serial / pool / cluster — the
-latter in :mod:`repro.runner.cluster`) and :mod:`repro.runner.store` the
-``ShardStore`` persistence interface.  This module is the conductor:
-load what the store already has, hand the rest to a backend, absorb obs
-payloads, record outcomes and progress.
+defines the ``ExecutorBackend`` protocol (serial / cluster — the latter
+in :mod:`repro.runner.cluster`) and :mod:`repro.runner.store` the shard
+persistence.  This module is the conductor: load what the store already
+has, hand the rest to a backend, absorb obs payloads, record outcomes
+and progress.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.util.env import journal_flush_interval_from_env
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.progress import ProgressReporter
-    from repro.runner.store import ShardStore
+    from repro.runner.store import FsStore
 
 __all__ = ["default_jobs", "execute_units", "run_sweep"]
 
@@ -50,18 +51,17 @@ def execute_units(
     units: Sequence[WorkUnit],
     *,
     jobs: int = 1,
-    cache: "ShardStore | None" = None,
+    cache: "FsStore | None" = None,
     progress: "ProgressReporter | None" = None,
     backend: "str | ExecutorBackend | None" = None,
 ) -> list[BucketOutcome]:
     """Run every unit, preferring stored shards, and return them in order.
 
-    ``backend`` picks the executor (``"serial"`` / ``"pool"`` /
-    ``"cluster"``, a ready instance, or ``None`` to consult
-    ``REPRO_RUNNER_BACKEND`` and fall back to the historical auto rule:
-    in-process serial unless ``jobs > 1``).  Every backend produces
-    bit-identical outcomes; the serial path is what the others are
-    verified against.
+    ``backend`` picks the executor (``"serial"`` / ``"cluster"``, a ready
+    instance, or ``None`` to consult ``REPRO_RUNNER_BACKEND`` and fall
+    back to the auto rule: in-process serial unless ``jobs > 1``).  Both
+    backends produce bit-identical outcomes; the serial path is what the
+    cluster is verified against.
 
     With ``REPRO_OBS_JOURNAL`` set, the conductor journals the sweep's
     shape (``sweep-start`` with unit/cached counts), each merged outcome
@@ -144,26 +144,25 @@ def run_sweep(
     algorithm_names: Sequence[str],
     *,
     jobs: int = 1,
-    cache: "ShardStore | None" = None,
+    cache: "FsStore | None" = None,
     progress: "ProgressReporter | None" = None,
-    pipeline: str = "batched",
     backend: "str | ExecutorBackend | None" = None,
     diagnostics: list | None = None,
 ) -> SweepResult:
     """One full acceptance sweep through the shard runner.
 
-    ``pipeline`` picks the shard execution path (columnar ``"batched"`` or
-    per-taskset ``"scalar"``) and ``backend`` the executor; results and
-    cache identities are the same under every combination — see
-    :mod:`repro.experiments.acceptance` and :mod:`repro.runner.executor`.
-    When a ``diagnostics`` list is passed, the raw per-bucket outcomes are
-    appended to it so callers can render the settled-by report
+    Shards run the columnar batched pipeline of
+    :mod:`repro.experiments.acceptance`; ``backend`` picks the executor,
+    and results and cache identities are the same under either — see
+    :mod:`repro.runner.executor`.  When a ``diagnostics`` list is passed,
+    the raw per-bucket outcomes are appended to it so callers can render
+    the settled-by report
     (:func:`~repro.experiments.acceptance.settled_summary`); the demand-
     kernel half (:func:`~repro.experiments.acceptance.kernel_summary`)
     reads the obs registry, which the shard runs populate either way.
     """
     names = list(algorithm_names)
-    units = decompose_sweep(config, names, pipeline=pipeline)
+    units = decompose_sweep(config, names)
     with obs.span("sweep", label=config.label, m=config.m):
         outcomes = execute_units(
             units, jobs=jobs, cache=cache, progress=progress, backend=backend

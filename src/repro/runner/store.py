@@ -1,45 +1,37 @@
-"""Content-addressed shard stores: the persistence half of the fabric.
+"""Content-addressed shard store: the persistence half of the fabric.
 
 Every :class:`~repro.runner.units.WorkUnit` has one canonical identity —
 a SHA-256 over its JSON description (full sweep config + bucket +
 algorithm names + shard format version, :func:`unit_key`) — and one
-canonical payload serialization (:func:`encode_outcome`).  A
-:class:`ShardStore` maps keys to payloads so that
+canonical payload serialization (:func:`encode_outcome`).
+:class:`FsStore` maps keys to payloads in a two-level
+``<key[:2]>/<key>.json`` fan-out (à la git objects) so that
 
 * an interrupted campaign resumes exactly where it stopped — finished
   shards are loaded, unfinished ones recomputed;
 * re-rendering a figure from an existing store recomputes nothing;
 * any change to the config schema or shard format bumps the key/version
   and transparently invalidates stale entries;
-* several hosts can share one store: payload bytes are a pure function
-  of the key, so concurrent writers always write identical content and
-  atomic renames make every put all-or-nothing.
+* several processes (or hosts on shared storage) can share one store:
+  payload bytes are a pure function of the key, so concurrent writers
+  always write identical content and atomic renames make every put
+  all-or-nothing.
 
-Two layouts implement the interface:
-
-* :class:`FsStore` — the original two-level ``<key[:2]>/<key>.json``
-  fan-out (à la git objects).  ``ShardCache`` is this class under its
-  historical name.
-* :class:`ObjectStore` — a flat ``objects/<key>`` bucket shaped like a
-  put/get/exists object store; point it at shared (e.g. network) storage
-  and independent campaign processes on different hosts pool shards.
-
-Robustness over cleverness, in the base class once for every layout: a
-payload that is missing, truncated, corrupted, version-skewed or
-otherwise suspicious is treated as a miss and recomputed — a store can
-never poison a result.  Writes are atomic (temp file + ``os.replace``)
-so a killed campaign cannot leave a partial shard that later loads.
+Robustness over cleverness: a payload that is missing, truncated,
+corrupted, version-skewed or otherwise suspicious is treated as a miss
+and recomputed — a store can never poison a result.  Writes are atomic
+(temp file + ``os.replace``) so a killed campaign cannot leave a partial
+shard that later loads.
 
 The four blob primitives (``get``/``put``/``exists``/``discard``) are
 deliberately generic: the opt-in verdict cache
 (:mod:`repro.analysis.verdict_cache`) reuses them for its persistent
-tier, storing canonical-key verdict payloads in an :class:`ObjectStore`
-bucket with the same miss-on-doubt discipline.
+tier, storing canonical-key verdict payloads in an :class:`FsStore`
+with the same miss-on-doubt discipline.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import json
 import os
@@ -53,11 +45,7 @@ from repro.runner.units import WorkUnit
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
-    "ShardStore",
     "FsStore",
-    "ObjectStore",
-    "ShardCache",
-    "STORES",
     "create_store",
     "unit_describe",
     "unit_key",
@@ -105,24 +93,35 @@ def encode_outcome(unit: WorkUnit, outcome: BucketOutcome) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-class ShardStore(abc.ABC):
+def _atomic_write(path: Path, text: str) -> None:
+    """All-or-nothing write: temp file in the same directory + rename.
+
+    The temp name is unique per writer so concurrent processes sharing
+    the store never clobber each other's in-flight writes; ``os.replace``
+    then makes whichever finishes last win with complete content (all
+    writers of one key produce identical bytes anyway).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+class FsStore:
     """Validated load/store of shard outcomes over a key -> text blob map.
 
-    Subclasses supply only the blob primitives (:meth:`get`, :meth:`put`,
-    :meth:`exists`, :meth:`discard`); keying, serialization and the
-    reject-on-any-doubt validation live here so every layout quarantines
-    damage identically: a rejected blob is discarded on sight, so the
-    recompute's :meth:`store` repairs it even under first-writer-wins
-    layouts.
+    Blobs live at ``<root>/<key[:2]>/<key>.json``.  Keying, serialization
+    and the reject-on-any-doubt validation sit on top of four blob
+    primitives (:meth:`get`, :meth:`put`, :meth:`exists`,
+    :meth:`discard`); a rejected blob is discarded on sight so the
+    recompute's :meth:`store` repairs it.
     Statistics (``hits``, ``misses``, ``rejected``, ``stored``) accumulate
     over the store's lifetime; campaign reports read them to prove a
     resumed run recomputed nothing.
     """
 
-    #: registry name of the layout (``fs`` / ``object``).
-    kind: str = ""
-
-    def __init__(self):
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
         self.hits = 0  #: shards served from the store
         self.misses = 0  #: shards absent (includes rejected ones)
         self.rejected = 0  #: shards present but corrupt/invalid
@@ -137,22 +136,34 @@ class ShardStore(abc.ABC):
         """Stable content hash of a unit's full configuration."""
         return unit_key(unit)
 
-    # -- blob primitives (the ObjectStore-shaped inner interface) ---------------
-    @abc.abstractmethod
+    def shard_path(self, unit: WorkUnit) -> Path:
+        """Where this unit's shard lives (two-level fan-out à la git)."""
+        return self._blob_path(self.key(unit))
+
+    # -- blob primitives --------------------------------------------------------
+    def _blob_path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.json"
+
     def get(self, key: str) -> str | None:
         """The blob text stored under ``key``, or ``None`` when absent."""
+        try:
+            return self._blob_path(key).read_text(encoding="utf-8")
+        except OSError:
+            return None
 
-    @abc.abstractmethod
     def put(self, key: str, text: str) -> Path:
         """Atomically persist ``text`` under ``key``; return its location."""
+        path = self._blob_path(key)
+        _atomic_write(path, text)
+        return path
 
-    @abc.abstractmethod
     def exists(self, key: str) -> bool:
         """Whether ``key`` currently has a blob (possibly invalid)."""
+        return self._blob_path(key).is_file()
 
-    @abc.abstractmethod
     def discard(self, key: str) -> None:
         """Drop the blob under ``key`` if present (quarantine support)."""
+        self._blob_path(key).unlink(missing_ok=True)
 
     # -- load/store -------------------------------------------------------------
     def load(self, unit: WorkUnit) -> BucketOutcome | None:
@@ -166,8 +177,8 @@ class ShardStore(abc.ABC):
         except (ValueError, TypeError, KeyError):
             # Truncated write, manual edit, version skew, hash collision on
             # the blob name — all indistinguishable, all safely recomputed.
-            # Quarantine the damaged blob so the recompute's store() repairs
-            # it even under first-writer-wins layouts.
+            # Quarantine the damaged blob so no later reader trusts it
+            # before the recompute's store() replaces it.
             self.rejected += 1
             self.misses += 1
             self.discard(self.key(unit))
@@ -221,108 +232,9 @@ class ShardStore(abc.ABC):
         )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """All-or-nothing write: temp file in the same directory + rename.
-
-    The temp name is unique per writer so concurrent processes sharing
-    the store never clobber each other's in-flight writes; ``os.replace``
-    then makes whichever finishes last win with complete content (all
-    writers of one key produce identical bytes anyway).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-class FsStore(ShardStore):
-    """Two-level ``<key-prefix>/<key>.json`` fan-out on a filesystem."""
-
-    kind = "fs"
-
-    def __init__(self, root: str | Path):
-        super().__init__()
-        self.root = Path(root)
-
-    def shard_path(self, unit: WorkUnit) -> Path:
-        """Where this unit's shard lives (two-level fan-out à la git)."""
-        return self._blob_path(self.key(unit))
-
-    def _blob_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> str | None:
-        try:
-            return self._blob_path(key).read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def put(self, key: str, text: str) -> Path:
-        path = self._blob_path(key)
-        _atomic_write(path, text)
-        return path
-
-    def exists(self, key: str) -> bool:
-        return self._blob_path(key).is_file()
-
-    def discard(self, key: str) -> None:
-        self._blob_path(key).unlink(missing_ok=True)
-
-
-class ObjectStore(ShardStore):
-    """Flat content-keyed bucket: ``<root>/objects/<key>``.
-
-    The minimal put/get/exists surface a remote object store exposes,
-    realized on a directory so a network mount shared between hosts
-    becomes a multi-writer shard store today, and an S3-style backend
-    only has to reimplement the four blob primitives.  Puts are
-    first-writer-wins: once a key exists its (content-determined) bytes
-    never change, so late duplicate writers skip the IO entirely.
-    """
-
-    kind = "object"
-
-    def __init__(self, root: str | Path):
-        super().__init__()
-        self.root = Path(root)
-
-    def _blob_path(self, key: str) -> Path:
-        return self.root / "objects" / key
-
-    def get(self, key: str) -> str | None:
-        try:
-            return self._blob_path(key).read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def put(self, key: str, text: str) -> Path:
-        path = self._blob_path(key)
-        if not path.is_file():
-            _atomic_write(path, text)
-        return path
-
-    def exists(self, key: str) -> bool:
-        return self._blob_path(key).is_file()
-
-    def discard(self, key: str) -> None:
-        self._blob_path(key).unlink(missing_ok=True)
-
-
-#: The historical name: PR 1's cache class *is* the filesystem store.
-ShardCache = FsStore
-
-#: Registered layouts, by the name the CLI/env knob uses.
-STORES: dict[str, type[ShardStore]] = {
-    "fs": FsStore,
-    "object": ObjectStore,
-}
-
-
-def create_store(kind: str, root: str | Path) -> ShardStore:
-    """Instantiate a registered store layout at ``root``."""
-    try:
-        factory = STORES[kind]
-    except KeyError:
-        known = "|".join(sorted(STORES))
-        raise ValueError(f"unknown shard store {kind!r}; known: {known}") from None
-    return factory(root)
+def create_store(kind: str, root: str | Path) -> FsStore:
+    """The shard store at ``root``; ``kind`` must be ``"fs"``, the one
+    layout."""
+    if kind != "fs":
+        raise ValueError(f"unknown shard store {kind!r}; known: fs")
+    return FsStore(root)

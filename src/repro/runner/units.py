@@ -5,8 +5,8 @@ A sweep over the utilization grid is an embarrassingly parallel job: each
 from ``(label, m, deadline_type, p_high, bucket, replicate)``, so one
 :class:`WorkUnit` — one ``(sweep config, bucket)`` shard — can run in any
 process, in any order, and still produce the exact outcome the serial
-sweep would.  :func:`run_unit` is the picklable entry point the worker
-pool ships to subprocesses.
+sweep would.  :func:`run_unit` is the picklable entry point the cluster
+backend's worker subprocesses execute.
 """
 
 from __future__ import annotations
@@ -33,46 +33,35 @@ class WorkUnit:
     center and algorithm *names*); the worker re-derives grid points and
     algorithm instances locally, so units stay tiny on the wire — the
     task sets themselves only ever exist inside the worker, as a columnar
-    :class:`~repro.model.batch.TaskSetBatch` under the default pipeline.
-
-    ``pipeline`` selects the execution path (see
-    :data:`repro.experiments.acceptance.PIPELINES`).  It is deliberately
-    *excluded* from the shard-cache identity: both pipelines produce the
-    identical outcome, so shards are interchangeable between them.
+    :class:`~repro.model.batch.TaskSetBatch`.
     """
 
     config: SweepConfig
     bucket: float
     algorithms: tuple[str, ...]
-    pipeline: str = "batched"
 
 
 def decompose_sweep(
-    config: SweepConfig,
-    algorithm_names: Sequence[str],
-    pipeline: str = "batched",
+    config: SweepConfig, algorithm_names: Sequence[str]
 ) -> list[WorkUnit]:
     """Split a sweep into independent per-bucket work units, ascending."""
     names = tuple(algorithm_names)
     # Fail fast on typos and on algorithm/deadline-type pairings the tests
     # cannot analyze, before any worker spawns.
     validate_algorithms(config, [get_algorithm(name) for name in names])
-    sweep = AcceptanceSweep(config, pipeline=pipeline)
     return [
-        WorkUnit(
-            config=config, bucket=bucket, algorithms=names, pipeline=pipeline
-        )
-        for bucket in sweep.bucket_points()
+        WorkUnit(config=config, bucket=bucket, algorithms=names)
+        for bucket in AcceptanceSweep(config).bucket_points()
     ]
 
 
 def run_unit(unit: WorkUnit) -> BucketOutcome:
     """Execute one work unit (in this process).
 
-    Deterministic in the unit alone — the pool relies on this both for
+    Deterministic in the unit alone — the fabric relies on this both for
     order-independent merging and for content-addressed caching.
     """
-    sweep = AcceptanceSweep(unit.config, pipeline=unit.pipeline)
+    sweep = AcceptanceSweep(unit.config)
     points = sweep.bucket_points().get(unit.bucket)
     if points is None:
         raise ValueError(

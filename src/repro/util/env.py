@@ -39,21 +39,18 @@ Three configure the durable telemetry plane of :mod:`repro.obs.journal`:
   an in-flight unit counts as a straggler once its age exceeds ``k`` ×
   the running shard-seconds p95 (default 4.0).
 
-Four configure the campaign fabric of :mod:`repro.runner`:
+Three configure the campaign fabric of :mod:`repro.runner`:
 
-* ``REPRO_RUNNER_BACKEND`` — ``serial``, ``pool`` or ``cluster``
-  executor backend; empty (default) auto-selects from ``jobs`` exactly
-  as before the backend layer existed.
-* ``REPRO_RUNNER_STORE`` — ``fs`` (default, the two-level fan-out
-  layout) or ``object`` (flat content-keyed bucket) shard-store layout.
+* ``REPRO_RUNNER_BACKEND`` — ``serial`` or ``cluster`` executor
+  backend; empty (default) auto-selects from ``jobs``.
 * ``REPRO_RUNNER_HEARTBEAT`` — cluster worker heartbeat interval in
   seconds (default 2.0).
 * ``REPRO_RUNNER_LEASE`` — cluster work-unit lease timeout in seconds
   (default 300.0); a unit not finished within its lease is re-dispatched.
 
 This module is the single parsing/validation point; the figure defaults,
-the benchmark harness and the analysis layers all delegate here so a
-malformed knob fails the same way everywhere.
+the benchmark harness, the analysis layers and the CLI's size arguments
+all delegate here so a malformed value fails the same way everywhere.
 """
 
 from __future__ import annotations
@@ -62,6 +59,8 @@ import os
 
 __all__ = [
     "positive_int_env",
+    "parse_positive_int",
+    "parse_m_values",
     "positive_float_env",
     "samples_from_env",
     "m_values_from_env",
@@ -73,7 +72,6 @@ __all__ = [
     "journal_flush_interval_from_env",
     "straggler_factor_from_env",
     "runner_backend_from_env",
-    "runner_store_from_env",
     "heartbeat_interval_from_env",
     "lease_timeout_from_env",
 ]
@@ -82,10 +80,7 @@ __all__ = [
 OBS_MODES = ("off", "metrics", "trace")
 
 #: Valid executor backends, in increasing machinery order ("" = auto).
-RUNNER_BACKENDS = ("serial", "pool", "cluster")
-
-#: Valid shard-store layouts.
-RUNNER_STORES = ("fs", "object")
+RUNNER_BACKENDS = ("serial", "cluster")
 
 
 def positive_int_env(name: str, fallback: int) -> int:
@@ -97,6 +92,12 @@ def positive_int_env(name: str, fallback: int) -> int:
     raw = os.environ.get(name, "")
     if not raw:
         return fallback
+    return parse_positive_int(raw, name)
+
+
+def parse_positive_int(raw: str, name: str) -> int:
+    """``raw`` as a positive integer; :class:`ValueError` naming ``name``
+    otherwise (shared by the env knobs and the CLI's argument types)."""
     try:
         value = int(raw)
     except ValueError:
@@ -236,8 +237,8 @@ def straggler_factor_from_env(fallback: float = 4.0) -> float:
 def runner_backend_from_env(fallback: str = "") -> str:
     """Executor backend: ``REPRO_RUNNER_BACKEND`` or ``fallback``.
 
-    ``""`` means "auto": pick ``pool`` or ``serial`` from the ``jobs``
-    argument like the pre-fabric runner did.  Anything other than
+    ``""`` means "auto": pick ``cluster`` or ``serial`` from the ``jobs``
+    argument.  Anything other than
     :data:`RUNNER_BACKENDS` raises — running a campaign on the wrong
     backend because of a typo would waste hours, not milliseconds.
     """
@@ -248,19 +249,6 @@ def runner_backend_from_env(fallback: str = "") -> str:
         raise ValueError(
             f"REPRO_RUNNER_BACKEND must be one of "
             f"{'|'.join(RUNNER_BACKENDS)}, got {raw!r}"
-        )
-    return raw
-
-
-def runner_store_from_env(fallback: str = "fs") -> str:
-    """Shard-store layout: ``REPRO_RUNNER_STORE`` or ``fallback``."""
-    raw = os.environ.get("REPRO_RUNNER_STORE", "")
-    if not raw:
-        return fallback
-    if raw not in RUNNER_STORES:
-        raise ValueError(
-            f"REPRO_RUNNER_STORE must be one of "
-            f"{'|'.join(RUNNER_STORES)}, got {raw!r}"
         )
     return raw
 
@@ -280,18 +268,21 @@ def m_values_from_env(fallback: tuple[int, ...] = (2, 4, 8)) -> tuple[int, ...]:
     raw = os.environ.get("REPRO_M", "")
     if not raw:
         return fallback
+    return parse_m_values(raw, "REPRO_M")
+
+
+def parse_m_values(raw: str, name: str) -> tuple[int, ...]:
+    """Comma-separated positive processor counts; :class:`ValueError`
+    naming ``name`` on any malformed or non-positive entry."""
     values = []
     for part in raw.split(","):
-        part = part.strip()
         try:
-            value = int(part)
+            value = int(part.strip())
         except ValueError:
             raise ValueError(
-                f"REPRO_M must be comma-separated integers, got {raw!r}"
+                f"{name} must be comma-separated integers, got {raw!r}"
             ) from None
         if value <= 0:
-            raise ValueError(f"REPRO_M entries must be positive, got {value}")
+            raise ValueError(f"{name} entries must be positive, got {value}")
         values.append(value)
-    if not values:
-        raise ValueError(f"REPRO_M must name at least one processor count, got {raw!r}")
     return tuple(values)

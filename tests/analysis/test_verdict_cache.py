@@ -231,12 +231,16 @@ class TestLruBound:
 
 class TestPersistentTier:
     def test_survives_process_restart(self, cache_on, monkeypatch, tmp_path):
+        from repro.runner.store import FsStore
+
         monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
         vc.reconfigure()
+        assert isinstance(vc._config().store, FsStore)
         ts = TaskSet(make_tasks())
         cold = run_tuning_stages(ts, STAGES, 100_000)
-        blobs = list((tmp_path / "objects").iterdir())
-        assert len(blobs) == 1
+        # one blob, in the shard store's two-level fan-out layout
+        (blob,) = tmp_path.rglob("*.json")
+        assert blob.parent.name == blob.stem[:2]
 
         vc.reconfigure()  # simulated restart: LRU gone, disk survives
         vc.reset_cache_counters()
@@ -266,7 +270,7 @@ class TestPersistentTier:
         vc.reconfigure()
         ts = TaskSet(make_tasks())
         run_tuning_stages(ts, STAGES, 100_000)
-        blob = next((tmp_path / "objects").iterdir())
+        (blob,) = tmp_path.rglob("*.json")
         blob.write_text(damage)
 
         vc.reconfigure()  # drop the LRU so the read must go to disk

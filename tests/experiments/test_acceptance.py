@@ -142,6 +142,25 @@ class TestSweepSetupValidation:
         validate_algorithms(config, [get_algorithm("cu-udp-edf-vd")])
 
 
+class TestConfigSizes:
+    """A sweep with no processors or no samples is a config error, not an
+    empty figure."""
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_non_positive_m(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            SweepConfig(label="t", m=m)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_non_positive_samples(self, samples):
+        with pytest.raises(ValueError, match="samples_per_bucket must be >= 1"):
+            SweepConfig(label="t", m=2, samples_per_bucket=samples)
+
+    def test_smallest_sweep_is_accepted(self):
+        config = SweepConfig(label="t", m=1, samples_per_bucket=1)
+        assert (config.m, config.samples_per_bucket) == (1, 1)
+
+
 class TestStrictSeriesAlignment:
     """Mismatched merged series must fail loudly, not truncate silently."""
 

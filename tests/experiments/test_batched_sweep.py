@@ -1,9 +1,10 @@
-"""Batched sweep pipeline == scalar pipeline, shard for shard.
+"""Batched sweep pipeline == scalar reference loop, shard for shard.
 
 The headline guarantee of the columnar refactor: for every figure
-configuration, the batched pipeline produces bit-identical sweep results
-(ratios, WAR inputs, shard outcomes) and identical cache keys — the
-pipeline is a throughput knob, never a semantics knob.
+configuration, the production batched pipeline — and ``run_sweep``,
+which runs it through the shard runner — produces sweep results (ratios,
+WAR inputs, shard outcomes) bit-identical to the per-taskset reference
+loop ``AcceptanceSweep(pipeline="scalar")``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.experiments.acceptance import (
 )
 from repro.experiments.algorithms import get_algorithm
 from repro.experiments.weighted import weighted_acceptance_ratio
-from repro.runner import ShardCache, decompose_sweep, run_sweep, run_unit
+from repro.runner import FsStore, decompose_sweep, run_sweep, run_unit
 
 #: Mini versions of the paper's figure configurations (every test family,
 #: both deadline types, a degraded-service fig7 slice).
@@ -64,11 +65,20 @@ class TestPipelineEquivalence:
                         b.ratios[name] * b.samples
                     )
 
-    def test_sweep_results_and_war_bit_identical(self):
-        config = config_for("fig4", "implicit", "full-drop", samples=3)
-        names = ["cu-udp-ecdf", "ca-f-f-ey"]
-        scalar = run_sweep(config, names, pipeline="scalar")
-        batched = run_sweep(config, names, pipeline="batched")
+    @pytest.mark.parametrize(
+        "label,deadline_type,algorithms,service",
+        [("fig4", "implicit", ("cu-udp-ecdf", "ca-f-f-ey"), "full-drop")]
+        + FIGURE_SLICES,
+    )
+    def test_sweep_results_and_war_bit_identical(
+        self, label, deadline_type, algorithms, service
+    ):
+        config = config_for(label, deadline_type, service, samples=3)
+        names = list(algorithms)
+        scalar = AcceptanceSweep(config, pipeline="scalar").run(
+            [get_algorithm(name) for name in names]
+        )
+        batched = run_sweep(config, names)
         assert scalar.buckets == batched.buckets
         assert scalar.samples == batched.samples
         assert scalar.ratios == batched.ratios
@@ -85,25 +95,21 @@ class TestPipelineEquivalence:
 
 
 class TestCacheInteraction:
-    def test_cache_keys_ignore_pipeline(self, tmp_path):
+    def test_stored_shard_matches_the_scalar_reference(self, tmp_path):
         config = config_for("fig3", "implicit", "full-drop")
         names = ("cu-udp-edf-vd",)
-        cache = ShardCache(tmp_path)
-        scalar_units = decompose_sweep(config, names, pipeline="scalar")
-        batched_units = decompose_sweep(config, names, pipeline="batched")
-        for a, b in zip(scalar_units, batched_units):
-            assert cache.key(a) == cache.key(b)
-
-    def test_shards_interchangeable_between_pipelines(self, tmp_path):
-        config = config_for("fig3", "implicit", "full-drop")
-        names = ("cu-udp-edf-vd",)
-        cache = ShardCache(tmp_path)
-        unit_b = decompose_sweep(config, names, pipeline="batched")[3]
-        outcome = run_unit(unit_b)
-        cache.store(unit_b, outcome)
-        unit_s = decompose_sweep(config, names, pipeline="scalar")[3]
-        loaded = cache.load(unit_s)
-        assert loaded == outcome
+        cache = FsStore(tmp_path)
+        unit = decompose_sweep(config, names)[3]
+        outcome = run_unit(unit)
+        cache.store(unit, outcome)
+        loaded = cache.load(unit)
+        reference = AcceptanceSweep(config, pipeline="scalar")
+        scalar = reference.run_bucket(
+            unit.bucket,
+            reference.bucket_points()[unit.bucket],
+            [get_algorithm(name) for name in names],
+        )
+        assert loaded == outcome == scalar
         assert loaded.accepted == outcome.accepted  # counts survive the cache
 
     def test_settled_summary_aggregates(self):

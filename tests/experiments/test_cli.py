@@ -231,6 +231,63 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig9"])
 
+    @pytest.mark.parametrize("command", ["figure", "trace"])
+    @pytest.mark.parametrize("bad", ["2,x", "0", "2,-4", ""])
+    def test_bad_m_is_a_usage_error(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "fig3", "--samples", "1", "--m", bad])
+        assert excinfo.value.code == 2
+        assert "argument --m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure", "trace"])
+    def test_m_parses_to_processor_counts(self, command):
+        args = build_parser().parse_args([command, "fig3", "--m", "2, 4"])
+        assert args.m == (2, 4)
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_non_positive_samples_is_a_usage_error(self, command, bad, capsys):
+        argv = [command, "fig3"] if command != "campaign" else [command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--samples", bad])
+        assert excinfo.value.code == 2
+        assert "argument --samples" in capsys.readouterr().err
+
+    def test_spec_file_with_zero_samples_is_rejected(self, tmp_path):
+        spec = {"name": "bad", "figures": [{"figure": "fig3", "samples": 0}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit, match="invalid campaign"):
+            main(["campaign", str(spec_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    @pytest.mark.parametrize(
+        "flag", [["--pipeline", "scalar"], ["--store", "object"]]
+    )
+    def test_fabric_knobs_are_gone(self, command, flag, capsys):
+        """One sweep pipeline and one shard store: no command offers a
+        switch for either."""
+        argv = [command, "fig3"] if command != "campaign" else [command]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + flag)
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_pool_backend_is_gone(self, command, capsys):
+        argv = [command, "fig3"] if command != "campaign" else [command]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--backend", "pool"])
+        assert "serial" in capsys.readouterr().err
+        args = build_parser().parse_args(argv + ["--backend", "cluster"])
+        assert args.backend == "cluster"
+
+    def test_figure_names_come_from_the_planners(self):
+        from repro.experiments.figures import FIGURES
+
+        for name in FIGURES:
+            assert build_parser().parse_args(["figure", name]).name == name
+
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
     def test_kernel_switch_flag_is_gone(self, command, capsys):
         """There is one demand kernel: no command offers a switch."""

@@ -114,7 +114,7 @@ class TestBenchBaseline:
             "schema": "repro-bench-fabric/1",
             "backends": {
                 "serial": {"shards_per_sec": 40.0},
-                "pool": {"shards_per_sec": 25.0},
+                "cluster": {"shards_per_sec": 25.0},
             },
         }))
         baseline = load_baseline(artifact)

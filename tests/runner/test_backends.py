@@ -1,12 +1,11 @@
 """Differential contract of the campaign fabric.
 
-The ISSUE acceptance bar: every executor backend (``serial`` / ``pool``
-/ ``cluster``) crossed with every shard store (``fs`` / ``object``)
+The acceptance bar: both executor backends (``serial`` / ``cluster``)
 must produce **bit-identical** ``SweepResult``s, WAR tables and shard
 payload bytes on fig3-style (implicit) and fig5-style (constrained)
 slices — including cluster runs where workers are SIGKILLed mid-shard.
-Backends decide *where* units run and stores decide *how* shards
-persist; neither may leave a fingerprint on the science.
+Backends decide *where* units run; they may leave no fingerprint on the
+science.
 """
 
 import json
@@ -19,14 +18,12 @@ from repro.experiments.weighted import weighted_acceptance_ratio
 from repro.runner import (
     ClusterBackend,
     ExecutorBackend,
-    ProcessPoolBackend,
     SerialBackend,
     create_store,
     registered_backends,
     resolve_backend,
     run_sweep,
 )
-from repro.runner.store import STORES
 
 #: One implicit-deadline (fig3-style) and one constrained-deadline
 #: (fig5-style) slice, small enough that the full matrix stays fast.
@@ -59,13 +56,7 @@ def war_table(result) -> dict[str, float]:
 
 def blob_map(store) -> dict[str, str]:
     """Every shard blob in a store, keyed by content hash."""
-    root = Path(store.root)
-    if store.kind == "fs":
-        return {p.stem: p.read_text() for p in root.rglob("*.json")}
-    objects = root / "objects"
-    if not objects.is_dir():
-        return {}
-    return {p.name: p.read_text() for p in objects.iterdir()}
+    return {p.stem: p.read_text() for p in Path(store.root).rglob("*.json")}
 
 
 @pytest.fixture(scope="module")
@@ -90,22 +81,21 @@ def reference_blobs(reference, tmp_path_factory):
     return out
 
 
-class TestBackendStoreMatrix:
-    """3 backends x 2 stores, each slice: results, WARs and bytes agree."""
+class TestBackendMatrix:
+    """Both backends, each slice: results, WARs and shard bytes agree."""
 
     @pytest.mark.parametrize("slice_name", sorted(SLICES))
-    @pytest.mark.parametrize("store_kind", sorted(STORES))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical(
-        self, backend, store_kind, slice_name, reference, reference_blobs, tmp_path
+        self, backend, slice_name, reference, reference_blobs, tmp_path
     ):
         config, algos = SLICES[slice_name]
-        store = create_store(store_kind, tmp_path)
+        store = create_store("fs", tmp_path)
         result = run_sweep(config, algos, jobs=2, cache=store, backend=backend)
         expected, expected_war = reference[slice_name]
         assert result == expected
         assert war_table(result) == expected_war
-        # identical keys, identical payload bytes — regardless of layout
+        # identical keys, identical payload bytes
         assert blob_map(store) == reference_blobs[slice_name]
 
     def test_sweep_result_json_is_backend_invariant(self, reference):
@@ -127,14 +117,13 @@ class TestBackendStoreMatrix:
 class TestKilledWorkers:
     """The matrix holds even when cluster workers die mid-campaign."""
 
-    @pytest.mark.parametrize("store_kind", sorted(STORES))
     def test_crashed_workers_still_bit_identical(
-        self, store_kind, reference, reference_blobs, tmp_path, monkeypatch
+        self, reference, reference_blobs, tmp_path, monkeypatch
     ):
         config, algos = SLICES["fig3"]
         monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:rate=0.3")
         monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
-        store = create_store(store_kind, tmp_path / "store")
+        store = create_store("fs", tmp_path / "store")
         backend = ClusterBackend(2, heartbeat_interval=0.2, lease_timeout=30.0)
         result = run_sweep(config, algos, jobs=2, cache=store, backend=backend)
         expected, expected_war = reference["fig3"]
@@ -147,11 +136,11 @@ class TestKilledWorkers:
 
 
 class TestResolution:
-    """Backend selection: instance > name > env knob > pre-fabric auto."""
+    """Backend selection: instance > name > env knob > auto rule."""
 
     def test_explicit_instance_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_BACKEND", "serial")
-        instance = ProcessPoolBackend(2)
+        instance = ClusterBackend(2)
         assert resolve_backend(instance, jobs=1, pending=1) is instance
 
     def test_explicit_name_beats_env(self, monkeypatch):
@@ -165,18 +154,31 @@ class TestResolution:
         assert isinstance(backend, ClusterBackend)
         assert backend.workers == 4
 
-    def test_auto_matches_prefabric_rule(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "jobs,pending,expected",
+        [
+            (4, 10, ClusterBackend),
+            (2, 2, ClusterBackend),
+            # a single job, or a single pending unit, stays in-process
+            (1, 10, SerialBackend),
+            (1, 2, SerialBackend),
+            (4, 1, SerialBackend),
+        ],
+    )
+    def test_auto_rule(self, jobs, pending, expected, monkeypatch):
         monkeypatch.delenv("REPRO_RUNNER_BACKEND", raising=False)
-        assert isinstance(
-            resolve_backend(None, jobs=4, pending=10), ProcessPoolBackend
-        )
-        # single job, or a single pending unit, stays in-process
-        assert isinstance(
-            resolve_backend(None, jobs=1, pending=10), SerialBackend
-        )
-        assert isinstance(
-            resolve_backend(None, jobs=4, pending=1), SerialBackend
-        )
+        backend = resolve_backend(None, jobs=jobs, pending=pending)
+        assert type(backend) is expected
+        if expected is ClusterBackend:
+            assert backend.workers == min(jobs, pending)
+
+    def test_pool_is_not_a_backend(self, monkeypatch):
+        assert registered_backends() == ("serial", "cluster")
+        monkeypatch.setenv("REPRO_RUNNER_BACKEND", "pool")
+        with pytest.raises(ValueError, match=r"serial\|cluster"):
+            resolve_backend(None, jobs=2, pending=2)
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            resolve_backend("pool", jobs=2, pending=2)
 
     def test_workers_never_exceed_pending(self):
         backend = resolve_backend("cluster", jobs=8, pending=3)

@@ -43,6 +43,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="does not sweep PH"):
             FigureJob("fig3", ph_values=(0.5,))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_non_positive_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples_per_bucket must be >= 1"):
+            FigureJob("fig3", samples=samples)
+
+    def test_non_positive_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            FigureJob("fig4", m_values=(2, 0))
+
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate output keys"):
             CampaignSpec(
@@ -81,6 +90,7 @@ class TestRunCampaign:
             assert result.figure == key
         manifest = json.loads((tmp_path / "out" / "campaign.json").read_text())
         assert manifest["spec"]["name"] == "tiny"
+        assert "store" not in manifest  # one shard-store layout
         assert manifest["shards_computed"] == report.shards_computed > 0
 
     def test_second_invocation_recomputes_nothing(self, tmp_path):

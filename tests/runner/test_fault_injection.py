@@ -13,8 +13,8 @@ ISSUE's fault-tolerance criteria end to end:
 * a hung worker is reclaimed through lease expiry;
 * a unit that keeps failing surfaces as a typed
   :class:`~repro.runner.executor.WorkerCrashError` naming the unit's
-  content key, attempt count and last heartbeat age — on the pool
-  backend too, where a unit exception is a one-attempt crash.
+  content key, attempt count and last heartbeat age — a unit exception
+  included, whichever way the cluster backend was selected.
 """
 
 import io
@@ -198,13 +198,15 @@ class TestGiveUp:
         assert "ValueError" in excinfo.value.detail
         assert backend.stats["worker_errors"] == 2
 
-    def test_unit_exception_on_pool_is_typed_not_raw(self):
-        """The pool backend wraps worker exceptions the same way."""
+    def test_unit_exception_on_auto_backend_is_typed_not_raw(self, monkeypatch):
+        """``jobs > 1`` auto-selects the cluster backend, which wraps
+        worker exceptions the same way once its retries run out."""
+        monkeypatch.delenv("REPRO_RUNNER_BACKEND", raising=False)
         unit = bad_unit()
         with pytest.raises(WorkerCrashError) as excinfo:
-            execute_units([unit, unit], jobs=2, backend="pool")
+            execute_units([unit, unit], jobs=2)
         err = excinfo.value
-        assert err.attempts == 1
+        assert err.attempts == ClusterBackend(2).max_attempts
         assert err.unit_key == unit_key(unit)
         assert "ValueError" in err.detail
 

@@ -1,11 +1,9 @@
-"""ShardStore interface: both layouts validate, quarantine and recompute.
+"""FsStore through its blob primitives: validate, quarantine, recompute.
 
-``tests/runner/test_cache.py`` pins the historical ``ShardCache``
-(filesystem) behavior; this suite runs the same corruption battery
-through the :class:`~repro.runner.store.ShardStore` interface against
-*every* registered layout, plus the ObjectStore-specific semantics
-(flat put/get/exists blobs, first-writer-wins puts) and the cross-layout
-contract: identical keys, identical payload bytes.
+``tests/runner/test_cache.py`` pins the shard-level behavior through
+``shard_path``; this suite runs the corruption battery through the blob
+primitives (``get``/``put``/``exists``/``discard``) the verdict cache
+also relies on, plus the canonical layout and payload bytes.
 """
 
 import json
@@ -15,14 +13,13 @@ import pytest
 from repro.experiments.acceptance import SweepConfig
 from repro.runner import (
     FsStore,
-    ObjectStore,
     create_store,
     decompose_sweep,
     execute_units,
     run_unit,
     unit_key,
 )
-from repro.runner.store import STORES, encode_outcome
+from repro.runner.store import encode_outcome
 
 CONFIG = SweepConfig(label="store-test", m=2, samples_per_bucket=2)
 ALGOS = ("cu-udp-edf-vd",)
@@ -33,24 +30,25 @@ def make_unit(index: int = 4):
 
 
 def blob_path(store, unit):
-    """Where a unit's blob lives, regardless of layout."""
+    """Where a unit's blob lives."""
     return store._blob_path(store.key(unit))
 
 
-@pytest.fixture(params=sorted(STORES))
-def store(request, tmp_path):
-    return create_store(request.param, tmp_path)
+@pytest.fixture
+def store(tmp_path):
+    return create_store("fs", tmp_path)
 
 
 class TestInterface:
-    def test_registry_covers_both_layouts(self):
-        assert STORES == {"fs": FsStore, "object": ObjectStore}
-        for kind, cls in STORES.items():
-            assert cls.kind == kind
+    def test_create_store_builds_an_fs_store(self, tmp_path):
+        store = create_store("fs", tmp_path)
+        assert isinstance(store, FsStore)
+        assert store.root == tmp_path
 
-    def test_create_store_rejects_unknown_kind(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["s3", "object"])
+    def test_create_store_rejects_unknown_kind(self, tmp_path, kind):
         with pytest.raises(ValueError, match="unknown shard store"):
-            create_store("s3", tmp_path)
+            create_store(kind, tmp_path)
 
     def test_round_trip(self, store):
         unit = make_unit()
@@ -75,8 +73,8 @@ class TestInterface:
         store.discard(key)  # idempotent on absent blobs
 
 
-class TestCorruptionEveryLayout:
-    """Damage quarantines as a miss and is recomputed — in any layout."""
+class TestCorruption:
+    """Damage quarantines as a miss and is recomputed."""
 
     def _primed(self, store):
         unit = make_unit()
@@ -121,39 +119,24 @@ class TestCorruptionEveryLayout:
         assert store.load(unit) == good
 
 
-class TestObjectStoreSemantics:
-    def test_flat_layout_under_objects(self, tmp_path):
-        store = ObjectStore(tmp_path)
+class TestLayout:
+    def test_two_level_fan_out(self, store):
         unit = make_unit()
+        key = unit_key(unit)
         path = store.store(unit, run_unit(unit))
-        assert path == tmp_path / "objects" / store.key(unit)
+        assert path == store.root / key[:2] / f"{key}.json"
+        assert path == store.shard_path(unit)
 
-    def test_put_is_first_writer_wins(self, tmp_path):
-        store = ObjectStore(tmp_path)
-        store.put("deadbeef", "first\n")
-        store.put("deadbeef", "second\n")
-        assert store.get("deadbeef") == "first\n"
-
-
-class TestCrossLayoutContract:
-    def test_same_keys_same_bytes(self, tmp_path):
-        fs = FsStore(tmp_path / "fs")
-        obj = ObjectStore(tmp_path / "obj")
+    def test_payload_bytes_are_the_canonical_encoding(self, store):
         for unit in decompose_sweep(CONFIG, ALGOS):
             outcome = run_unit(unit)
-            fs_path = fs.store(unit, outcome)
-            obj_path = obj.store(unit, outcome)
-            assert fs.key(unit) == obj.key(unit) == unit_key(unit)
-            assert fs_path.read_bytes() == obj_path.read_bytes()
-            assert fs_path.read_text() == encode_outcome(unit, outcome)
+            path = store.store(unit, outcome)
+            assert store.key(unit) == unit_key(unit)
+            assert path.read_text() == encode_outcome(unit, outcome)
 
-    def test_either_layout_resumes_the_other_logically(self, tmp_path):
-        """A shard computed under one layout hits when its bytes are
-        copied into the other — content addressing carries across."""
-        fs = FsStore(tmp_path / "fs")
-        obj = ObjectStore(tmp_path / "obj")
-        unit = make_unit()
-        outcome = run_unit(unit)
-        fs.store(unit, outcome)
-        obj.put(obj.key(unit), fs.get(fs.key(unit)))
-        assert obj.load(unit) == outcome
+    def test_put_overwrites_atomically(self, store):
+        store.put("deadbeef", "first\n")
+        store.put("deadbeef", "second\n")
+        assert store.get("deadbeef") == "second\n"
+        # no temp file survives the rename
+        assert [p.name for p in (store.root / "de").iterdir()] == ["deadbeef.json"]

@@ -5,7 +5,6 @@ import pytest
 from repro.util.env import (
     OBS_MODES,
     RUNNER_BACKENDS,
-    RUNNER_STORES,
     heartbeat_interval_from_env,
     journal_flush_interval_from_env,
     journal_path_from_env,
@@ -16,7 +15,6 @@ from repro.util.env import (
     positive_float_env,
     positive_int_env,
     runner_backend_from_env,
-    runner_store_from_env,
     samples_from_env,
     verdict_cache_dir_from_env,
     verdict_cache_from_env,
@@ -67,28 +65,11 @@ class TestRunnerBackendKnob:
         monkeypatch.setenv("REPRO_RUNNER_BACKEND", name)
         assert runner_backend_from_env() == name
 
-    @pytest.mark.parametrize("bad", ["threads", "POOL", "serial,pool", "1"])
+    @pytest.mark.parametrize("bad", ["threads", "pool", "POOL", "serial,pool", "1"])
     def test_rejects_invalid(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_RUNNER_BACKEND", bad)
         with pytest.raises(ValueError, match="REPRO_RUNNER_BACKEND"):
             runner_backend_from_env()
-
-
-class TestRunnerStoreKnob:
-    def test_default_is_fs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNNER_STORE", raising=False)
-        assert runner_store_from_env() == "fs"
-
-    @pytest.mark.parametrize("name", RUNNER_STORES)
-    def test_parses_every_store(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_RUNNER_STORE", name)
-        assert runner_store_from_env() == name
-
-    @pytest.mark.parametrize("bad", ["s3", "FS", "fs,object"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_RUNNER_STORE", bad)
-        with pytest.raises(ValueError, match="REPRO_RUNNER_STORE"):
-            runner_store_from_env()
 
 
 class TestClusterTimingKnobs:
