@@ -1,9 +1,12 @@
-"""From-scratch vs incremental ``partition()`` on an ECDF sweep slice.
+"""From-scratch vs context-backed ``partition()`` on an ECDF sweep slice.
 
 The partitioning hot loop runs the uniprocessor test once per (task,
-candidate core) probe; PR 2 introduced per-core analysis contexts so those
-probes reuse utilization accumulators and memoized dbf state instead of
-rebuilding everything.  This benchmark drives both paths over the same
+candidate core) probe; per-core analysis contexts let those probes reuse
+utilization accumulators and memoized dbf state instead of rebuilding
+everything.  ``partition()`` always uses them when the test provides them;
+the from-scratch reference hides them behind the test-side
+:class:`~tests.core.from_scratch.FromScratch` proxy, which forces the
+rebuild-and-test probe loop.  This benchmark drives both over the same
 Figure-5 slice (constrained deadlines, PH = 0.5 — the configuration whose
 admission test, ECDF, is the most expensive in the suite) across the
 paper's processor sweep, asserts the two paths stay bit-identical, and
@@ -12,11 +15,12 @@ CI artifact).
 
 Scale knobs: ``REPRO_SAMPLES`` (task sets per UB bucket, default 10) and
 ``REPRO_M`` (processor counts, default ``2,4,8``).  At paper-scale
-parameters the incremental path is >= 3x faster in aggregate.
+parameters the context-backed loop is >= 3x faster in aggregate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -24,6 +28,7 @@ import pytest
 
 from repro.experiments import get_algorithm
 from repro.experiments.acceptance import AcceptanceSweep, SweepConfig
+from tests.core.from_scratch import FromScratch
 
 from conftest import RESULTS_DIR, bench_m_values, bench_samples, emit
 
@@ -46,15 +51,22 @@ def slice_tasksets(m: int, samples: int):
     return tasksets
 
 
-def time_partitions(algorithm, tasksets, m: int, incremental: bool, repeats: int = 3):
+def algorithm_for(mode: str):
+    """cu-udp-ecdf as shipped (``"incremental"``: context-backed probes) or
+    with its contexts hidden (``"from-scratch"``)."""
+    algorithm = get_algorithm("cu-udp-ecdf")
+    if mode == "incremental":
+        return algorithm
+    return dataclasses.replace(algorithm, test=FromScratch(algorithm.test))
+
+
+def time_partitions(algorithm, tasksets, m: int, repeats: int = 3):
     """Best-of-N CPU time plus the partition results (for parity checks)."""
     best = None
     results = None
     for _ in range(repeats):
         start = time.process_time()
-        current = [
-            algorithm.partition(ts, m, incremental=incremental) for ts in tasksets
-        ]
+        current = [algorithm.partition(ts, m) for ts in tasksets]
         elapsed = time.process_time() - start
         if best is None or elapsed < best:
             best, results = elapsed, current
@@ -62,15 +74,13 @@ def time_partitions(algorithm, tasksets, m: int, incremental: bool, repeats: int
 
 
 @pytest.mark.parametrize("m", bench_m_values())
-@pytest.mark.parametrize("incremental", [False, True], ids=["from-scratch", "incremental"])
-def test_bench_partition_ecdf(benchmark, m, incremental):
+@pytest.mark.parametrize("mode", ["from-scratch", "incremental"])
+def test_bench_partition_ecdf(benchmark, m, mode):
     """Per-mode wall-time samples for pytest-benchmark's own reporting."""
-    algorithm = get_algorithm("cu-udp-ecdf")
+    algorithm = algorithm_for(mode)
     tasksets = slice_tasksets(m, bench_samples())
     result = benchmark.pedantic(
-        lambda: [
-            algorithm.partition(ts, m, incremental=incremental) for ts in tasksets
-        ],
+        lambda: [algorithm.partition(ts, m) for ts in tasksets],
         rounds=1,
         iterations=1,
     )
@@ -79,21 +89,22 @@ def test_bench_partition_ecdf(benchmark, m, incremental):
 
 def test_bench_partition_speedup_report():
     """Parity + speedup summary; emits the BENCH_partition.json artifact."""
-    algorithm = get_algorithm("cu-udp-ecdf")
+    fast_algorithm = algorithm_for("incremental")
+    slow_algorithm = algorithm_for("from-scratch")
     samples = bench_samples()
     report = {"algorithm": "cu-udp-ecdf", "samples_per_bucket": samples, "m": {}}
-    total_scratch = total_incremental = 0.0
+    total_scratch = total_contexts = 0.0
     lines = ["m    tasksets   from-scratch   incremental   speedup"]
     for m in bench_m_values():
         tasksets = slice_tasksets(m, samples)
-        t_inc, r_inc = time_partitions(algorithm, tasksets, m, incremental=True)
-        t_fs, r_fs = time_partitions(algorithm, tasksets, m, incremental=False)
+        t_inc, r_inc = time_partitions(fast_algorithm, tasksets, m)
+        t_fs, r_fs = time_partitions(slow_algorithm, tasksets, m)
         for fast, slow in zip(r_inc, r_fs, strict=True):
             assert fast.success == slow.success
             assert fast.assignment == slow.assignment
             assert fast.cores == slow.cores
         total_scratch += t_fs
-        total_incremental += t_inc
+        total_contexts += t_inc
         report["m"][str(m)] = {
             "tasksets": len(tasksets),
             "from_scratch_s": round(t_fs, 4),
@@ -104,7 +115,7 @@ def test_bench_partition_speedup_report():
             f"{m:<6}{len(tasksets):<11}{t_fs:>10.3f}s {t_inc:>12.3f}s "
             f"{t_fs / t_inc:>8.2f}x"
         )
-    aggregate = total_scratch / total_incremental
+    aggregate = total_scratch / total_contexts
     report["aggregate_speedup"] = round(aggregate, 3)
     lines.append(f"aggregate speedup: {aggregate:.2f}x")
     emit("BENCH_partition", "\n".join(lines))
@@ -112,7 +123,7 @@ def test_bench_partition_speedup_report():
     (RESULTS_DIR / "BENCH_partition.json").write_text(
         json.dumps(report, indent=2) + "\n"
     )
-    # Regression tripwire: the incremental path must stay clearly ahead at
+    # Regression tripwire: the context-backed loop must stay clearly ahead at
     # any scale (>= 3x at paper-scale parameters; the floor here is kept
     # below that so small CI slices on noisy runners don't flake).
     assert aggregate >= 2.0, f"incremental speedup regressed: {aggregate:.2f}x"

@@ -169,6 +169,10 @@ class _AMCBase(SchedulabilityTest):
                 f"priority_policy must be 'dm' or 'opa', got {priority_policy!r}"
             )
         self.priority_policy = priority_policy
+        if priority_policy == "opa":
+            # The registered name: verdicts (and the verdict cache keys
+            # derived from the name) differ from the DM variant's.
+            self.name = f"{type(self).name}-opa"
 
     def _hi_response(
         self, task: MCTask, higher_priority: Sequence[MCTask]

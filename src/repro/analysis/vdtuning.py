@@ -30,21 +30,23 @@ Policies:
   a benefit/cost greedy rule.
 
 HI-demand of a task is monotonically non-increasing in ``Dv`` shrinkage, so
-the minimal sufficient shrink is found by binary search with scalar dbf
-evaluations.
+the minimal sufficient shrink is recovered in closed form by inverting the
+task's single-task HI staircase (:func:`_invert_shrink`).
 
 Evaluation layer
 ----------------
-All dbf queries the descent issues go through a :class:`DemandEngine`.  A
-fresh engine (the default) reproduces the historical from-scratch behavior.
-When constructed with a shared ``memo`` dict — as done by the incremental
-:class:`~repro.analysis.context.DemandContext` used in partitioning hot
-loops — results of the *pure* scenario queries (LO/HI violations, shrink
-searches, :class:`~repro.analysis.dbf.LoShrinkProbe` instances) are reused
-across repeated evaluations.  Every memoized value is keyed by the exact
-task parameters and virtual deadlines it was computed from, so reuse is an
+All dbf queries the descent issues go through a :class:`DemandEngine`,
+which always carries a ``memo`` dict.  A caller that passes no engine gets
+one with a private memo; the per-core
+:class:`~repro.analysis.context.DemandContext` of the partitioning hot loop
+shares one memo across every probe of its core.  Results of the *pure*
+scenario queries (LO/HI violations, V* searches,
+:class:`~repro.analysis.dbf.LoShrinkProbe` instances) are reused across
+repeated evaluations.  Every memoized value is keyed by the exact task
+parameters and virtual deadlines it was computed from, so reuse is an
 identity-preserving optimization: verdicts, virtual deadlines and detail
-strings are bit-identical with or without a memo.
+strings equal those of a from-scratch evaluation of each query (the
+test-side reference engine in ``tests/analysis/scratch_engine.py``).
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from repro.analysis.dbf import (
     _ModeTask,
     _hi_point_demand,
     approx_accepts,
-    hi_mode_dbf,
     lc_hi_mode_entries,
     overload_marker,
     qpa_violation_search,
@@ -103,57 +104,10 @@ class TuningOutcome:
     detail: str = ""
 
 
-def _hi_gain(task: MCTask, vd_now: int, shrink: int, length: int) -> int:
-    """HI-demand reduction at ``length`` when ``Dv`` shrinks by ``shrink``."""
-    return hi_mode_dbf(task, vd_now, length) - hi_mode_dbf(
-        task, vd_now - shrink, length
-    )
-
-
-def _min_shrink_for_gain(task: MCTask, vd_now: int, length: int) -> int | None:
-    """Smallest shrink with positive HI-demand gain at ``length``; None if
-    no shrink up to the structural limit (``Dv >= C_L``) helps."""
-    max_shrink = vd_now - task.wcet_lo
-    if max_shrink <= 0:
-        return None
-    residual = task.deadline - vd_now
-    x = length - residual
-    if x < 0:
-        return None  # shrinking moves the carry-over even further out
-    r0 = x % task.period
-    # Inside the carry-over ramp every unit shrink gains one unit; above the
-    # ramp the first ``r0 - C_L + 1`` units gain nothing.
-    first = 1 if r0 < task.wcet_lo else (r0 - task.wcet_lo + 1)
-    if first > max_shrink:
-        return None
-    return first
-
-
-def _shrink_to_clear(
-    task: MCTask, vd_now: int, length: int, deficit: int
-) -> int:
-    """Smallest shrink whose HI gain at ``length`` reaches
-    ``min(deficit, the task's maximum achievable gain)``.
-
-    When the task alone cannot clear the deficit, this still returns the
-    *minimal* shrink realizing its best contribution — over-shrinking would
-    needlessly inflate LO-mode demand and strand later adjustments.
-    Relies on HI-demand being non-increasing in the shrink amount; the
-    minimal shrink is recovered in closed form by inverting the task's
-    single-task HI staircase (:func:`_invert_shrink`), which the
-    differential suite checks against the historical bisection
-    (:func:`_shrink_to_clear_bisect`) point for point.
-    """
-    max_shrink = vd_now - task.wcet_lo
-    target = min(deficit, _hi_gain(task, vd_now, max_shrink, length))
-    if target <= 0:
-        return max_shrink
-    return _invert_shrink(task, vd_now, length, target)
-
-
 def _invert_shrink(task: MCTask, vd_now: int, length: int, target: int) -> int:
-    """Minimal ``s >= 1`` with ``_hi_gain(task, vd_now, s, length) >= target``.
+    """Minimal shrink ``s >= 1`` whose HI gain at ``length`` reaches ``target``.
 
+    The HI-demand reduction at ``length`` when ``Dv`` shrinks by ``s`` is
     ``gain(s) = H(x) - H(x - s)`` for the task's single-task HI staircase
     ``H(y) = (y//T + 1) C_H - max(0, C_L - y mod T)`` (0 for ``y < 0``) and
     ``x = length - (D - vd_now)``.  ``H`` is non-decreasing, so the minimal
@@ -180,25 +134,6 @@ def _invert_shrink(task: MCTask, vd_now: int, length: int, target: int) -> int:
         else:
             y_star = jobs * period + wcet_lo - need
     return max(1, x - y_star)
-
-
-def _shrink_to_clear_bisect(
-    task: MCTask, vd_now: int, length: int, deficit: int
-) -> int:
-    """The historical bisection — the differential oracle for
-    :func:`_shrink_to_clear` (identical results, O(log D) gain probes)."""
-    max_shrink = vd_now - task.wcet_lo
-    target = min(deficit, _hi_gain(task, vd_now, max_shrink, length))
-    if target <= 0:
-        return max_shrink
-    lo, hi = 1, max_shrink
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _hi_gain(task, vd_now, mid, length) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _window_points(
@@ -332,34 +267,32 @@ def _windowed_hi_check(
 class DemandEngine:
     """Evaluation layer between the descent loop and the dbf machinery.
 
-    One engine serves one candidate ``taskset``.  Without a ``memo`` the
-    engine only keeps the single most recent :class:`DemandScenario` (the
-    descent queries each virtual-deadline assignment a couple of times in a
-    row), matching the historical from-scratch cost profile.  With a shared
-    ``memo`` dict — one per core, owned by an incremental analysis context —
-    all pure query results persist and are reused across probes and across
-    the multi-stage ECDF fallback chain.
+    One engine serves one candidate ``taskset``.  Its ``memo`` dict is
+    required: a private ``{}`` for a one-off tuning run, or the dict shared
+    by every probe of one core (owned by the core's
+    :class:`~repro.analysis.context.DemandContext`).  All pure query results
+    persist in it and are reused across probes and across the multi-stage
+    ECDF fallback chain.
 
     Memo keys embed the task ids and the exact virtual deadlines a value was
     computed from (HI-mode keys cover HC tasks only, because LC tasks
     contribute no HI demand — this lets LC probes on the same core share
     all HI-mode work).  Values are therefore reusable only where the fresh
-    computation would return the identical result, which is what makes the
-    incremental path bit-identical to the from-scratch path by construction.
+    computation would return the identical result, which is what makes
+    shared-memo probes bit-identical to from-scratch ones by construction.
     """
 
     def __init__(
         self,
         taskset: TaskSet,
         horizon_cap: int,
-        memo: dict | None = None,
+        memo: dict,
         committed: int = 0,
     ):
         self.taskset = taskset
         self.horizon_cap = horizon_cap
         self._memo = memo
         self._committed = committed
-        self._last: tuple[tuple[int, ...], DemandScenario] | None = None
         self._high = tuple(t for t in taskset if t.is_high)
         self._high_ids = tuple(t.task_id for t in self._high)
         #: degraded LC tasks' HI-mode abstraction (empty under drop
@@ -447,19 +380,12 @@ class DemandEngine:
 
     # -- scenario construction ----------------------------------------------
     def scenario(self, vd: dict[int, int]) -> DemandScenario:
-        """The :class:`DemandScenario` for ``vd`` (cached)."""
-        sig = tuple(vd.get(t.task_id, t.deadline) for t in self.taskset)
-        if self._last is not None and self._last[0] == sig:
-            return self._last[1]
-        scenario = DemandScenario(self.taskset, vd, horizon_cap=self.horizon_cap)
-        self._last = (sig, scenario)
-        return scenario
+        """A fresh :class:`DemandScenario` for ``vd``."""
+        return DemandScenario(self.taskset, vd, horizon_cap=self.horizon_cap)
 
     # -- memoized queries ----------------------------------------------------
     def _cached(self, key: tuple, compute):
         """Memo lookup; exceptions are cached and re-raised like values."""
-        if self._memo is None:
-            return compute()
         try:
             hit = self._memo[key]
         except KeyError:
@@ -618,16 +544,8 @@ class DemandEngine:
         ``not_before`` is a scan hint for callers that can prove no
         violation exists below it (see
         :meth:`DemandScenario.hi_violation`); the returned values are the
-        same with or without it, so memo entries ignore the hint.  The
-        stateless (memo-free) engine also ignores it, preserving the
-        published full-scan behavior of the from-scratch path.
+        same with or without it, so memo entries ignore the hint.
         """
-        if self._memo is None:
-            scenario = self.scenario(vd)
-            violation = scenario.hi_violation(refine=refine)
-            if violation is None:
-                return (None, None)
-            return (violation, scenario.hi_demand_at(violation, refine=refine))
         sig = self._sig_high(vd)
         memo = self._memo
         key = ("hi", sig, refine)
@@ -837,8 +755,6 @@ class DemandEngine:
         :meth:`hi_violation`.
         """
         memo = self._memo
-        if memo is None:
-            return self.hi_violation(vd, refine) is None
         sig = self._sig_high(vd)
         key = ("hi", sig, refine)
         hit = memo.get(key)
@@ -889,22 +805,11 @@ class DemandEngine:
         memo[("hib", sig, refine)] = feasible
         return feasible
 
-    def hi_demand_at(self, vd: dict[int, int], length: int, refine: bool) -> int:
-        """Total HI-mode demand at one interval length."""
-        if self._memo is None:
-            return self.scenario(vd).hi_demand_at(length, refine=refine)
-        return self._cached(
-            ("hid", self._sig_high(vd), length, refine),
-            lambda: _hi_point_demand(
-                self._hi_tasks(vd), length, refine, len(self._high)
-            ),
-        )
-
     def hi_gain(self, task: MCTask, vd_now: int, shrink: int, length: int) -> int:
-        if self._memo is None:
-            return _hi_gain(task, vd_now, shrink, length)
-        # Inlined hi_mode_dbf difference on plain ints (the caller
-        # guarantees an HC task): identical arithmetic, no attribute hops.
+        """HI-demand reduction of ``task`` at ``length`` when its ``Dv``
+        shrinks by ``shrink``: the :func:`~repro.analysis.dbf.hi_mode_dbf`
+        difference, inlined on plain ints (the caller guarantees an HC
+        task) — identical arithmetic, no attribute hops."""
         period, wcet_lo, wcet_hi = task.period, task.wcet_lo, task.wcet_hi
         x_now = length - (task.deadline - vd_now)
         x_new = x_now - shrink
@@ -917,36 +822,6 @@ class DemandEngine:
         else:
             d_new = 0
         return d_now - d_new
-
-    def min_shrink_for_gain(
-        self, task: MCTask, vd_now: int, length: int
-    ) -> int | None:
-        return _min_shrink_for_gain(task, vd_now, length)
-
-    def shrink_to_clear(
-        self, task: MCTask, vd_now: int, length: int, deficit: int
-    ) -> int:
-        if self._memo is None:
-            return _shrink_to_clear(task, vd_now, length, deficit)
-
-        def compute() -> int:
-            # _shrink_to_clear with the closed-form staircase inversion —
-            # same minimal shrink the historical bisection found.
-            max_shrink = vd_now - task.wcet_lo
-            target = min(deficit, self.hi_gain(task, vd_now, max_shrink, length))
-            if target <= 0:
-                return max_shrink
-            return _invert_shrink(task, vd_now, length, target)
-
-        return self._cached(("stc", task.task_id, vd_now, length, deficit), compute)
-
-    def lo_shrink_probe(self, vd: dict[int, int], task: MCTask):
-        """The (immutable, hence shareable) :class:`LoShrinkProbe` for
-        varying ``task``'s deadline with every other task fixed at ``vd``."""
-        return self._cached(
-            ("lsp", task.task_id, self._sig_others(vd, task.task_id)),
-            lambda: self.scenario(vd).lo_shrink_probe(task),
-        )
 
     def _lo_others_entry(
         self, vd: dict[int, int], task: MCTask, sig_o: tuple
@@ -987,22 +862,21 @@ class DemandEngine:
     ) -> LoShrinkProbe:
         """Field-identical :class:`LoShrinkProbe` from cached scaffolding.
 
-        Skips the :class:`DemandScenario` construction the ``("lsp", ...)``
-        path pays: the cached others list and worst-case horizon are the
-        very values the probe's ``__init__`` derives (same fold order, same
-        formulas), so the replica's verdict methods behave identically.
-        When the scaffolding marks the horizon unavailable, the replica is
-        returned always-infeasible *without* entering the ``("lsp")`` memo
-        — the real constructor would have raised there, and the V* caller
-        treats both outcomes as "no feasible shrink".
+        Skips the :class:`DemandScenario` construction that
+        :meth:`DemandScenario.lo_shrink_probe` pays: the cached others list
+        and worst-case horizon are the very values the probe's ``__init__``
+        derives (same fold order, same formulas), so the replica's verdict
+        methods behave identically.  When the scaffolding marks the horizon
+        unavailable, the replica is returned always-infeasible *without*
+        entering the ``("lsp")`` memo — the real constructor would have
+        raised there, and the V* caller treats both outcomes as "no
+        feasible shrink".
         """
         memo = self._memo
         key = ("lsp", task.task_id, sig_o)
         hit = memo.get(key)
         if hit is not None:
-            if hit[0] == "raise":
-                raise hit[1]
-            return hit[1]
+            return hit
         entry = self._lo_others_entry(vd, task, sig_o)
         others, horizon = entry[0], entry[1]
         probe = LoShrinkProbe.__new__(LoShrinkProbe)
@@ -1021,7 +895,7 @@ class DemandEngine:
             demand = DemandScenario._lo_demand(list(others), points)
             probe._points_o = points
             probe._slack_o = points - demand
-        memo[key] = ("value", probe)
+        memo[key] = probe
         return probe
 
     def _lo_fast_feasible(
@@ -1088,29 +962,12 @@ class DemandEngine:
         tasks' deadlines) and the answer is ``min(desired, base - V*)``.
         Probes go through :class:`~repro.analysis.dbf.LoShrinkProbe`, which
         precomputes the other tasks' demand once instead of rebuilding the
-        whole scenario per probe; the memoized engine additionally caches
-        ``V*``, which is independent of the task's own current deadline —
-        so every later descent iteration that re-picks this task (with any
-        remaining ``base``, against any deficit) costs one lookup.
+        whole scenario per probe, and the memo caches ``V*``, which is
+        independent of the task's own current deadline — so every later
+        descent iteration that re-picks this task (with any remaining
+        ``base``, against any deficit) costs one lookup.
         """
         base = vd[task.task_id]
-
-        if self._memo is None:
-            # From-scratch behavior: desired-bounded binary search per call.
-            try:
-                probe = self.lo_shrink_probe(vd, task)
-            except HorizonExceeded:
-                return 0
-            if probe.feasible(base - desired):
-                return desired
-            lo, hi = 0, desired - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if probe.feasible(base - mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo
 
         # Warm path: most descent iterations ask for a shrink that is
         # plainly LO-feasible.  Prove it cheaply — an O(1) density accept,
@@ -1139,9 +996,8 @@ class DemandEngine:
     ) -> int | None:
         """Smallest LO-feasible virtual deadline ``V*`` for ``task``; None
         when even the task's full deadline is infeasible under the probe's
-        verdicts.  Memoized per surrounding assignment (requires the warm
-        engine) and served to every later :meth:`max_lo_feasible_shrink`
-        of the same task.
+        verdicts.  Memoized per surrounding assignment and served to every
+        later :meth:`max_lo_feasible_shrink` of the same task.
 
         The probe's first check (own demand against the other tasks'
         slack at *their* breakpoints) inverts in closed form: at slack
@@ -1156,10 +1012,7 @@ class DemandEngine:
             sig_o = self._sig_others(vd, task.task_id)
 
         def compute() -> int | None:
-            try:
-                probe = self._lo_probe_fast(vd, task, sig_o)
-            except HorizonExceeded:
-                return None
+            probe = self._lo_probe_fast(vd, task, sig_o)
             points_o, slack_o = probe._points_o, probe._slack_o
             if probe._infeasible_always:
                 return None
@@ -1215,10 +1068,10 @@ def tune_virtual_deadlines(
     horizon_cap:
         Passed through to :class:`DemandScenario`; exceeding it rejects.
     engine:
-        Evaluation layer to issue dbf queries through; a fresh
-        :class:`DemandEngine` (from-scratch behavior) when omitted.
-        Callers passing a memo-backed engine (the incremental contexts)
-        get identical outcomes with repeated work deduplicated.
+        Evaluation layer to issue dbf queries through; an engine with a
+        private memo when omitted.  The per-core contexts pass their
+        shared-memo engine, so work repeated across probes of one core is
+        deduplicated; outcomes are identical either way.
     """
     outcome = _tune_virtual_deadlines_impl(
         taskset, policy, refine, horizon_cap, engine
@@ -1306,10 +1159,10 @@ def run_tuning_stages(
     This is the fallback-chain shape of :class:`~repro.analysis.ecdf.
     ECDFTest` (and, with a single stage, of :class:`~repro.analysis.ey.
     EYTest`): later stages only run when every earlier stage rejected, and
-    the last outcome is returned either way.  When ``engine`` is omitted
-    every stage builds a fresh engine, reproducing the historical
-    from-scratch cost; the incremental contexts pass one memo-backed engine
-    so the stages share all common dbf work.
+    the last outcome is returned either way.  Every stage runs on one
+    engine — ``engine`` when given (the per-core contexts pass their
+    shared-memo engine), else one with a private memo — so the stages
+    share all common dbf work.
 
     With the opt-in verdict cache on (``REPRO_VERDICT_CACHE=on``) the
     canonical ``(taskset, stages, horizon_cap, service)`` key is
@@ -1336,14 +1189,12 @@ def run_tuning_stages(
 
 
 def _default_engine(taskset: TaskSet, horizon_cap: int) -> DemandEngine:
-    """The engine a caller gets when it passes none.
-
-    It carries a private per-run memo so the whole evaluation machinery
-    (warm anchors, witness-level checks, screen caches) serves the
-    from-scratch path too — memoization only deduplicates pure queries,
-    so outcomes are identical either way (the property the memo/no-memo
-    differential tests assert).
-    """
+    """The engine a caller gets when it passes none: a private per-run
+    memo, so a one-off tuning run gets the same evaluation machinery (warm
+    anchors, witness-level checks, screen caches) as the per-core
+    contexts.  Memoization only deduplicates pure queries, so outcomes
+    equal the from-scratch reference engine's (the property the
+    differential tests assert)."""
     return DemandEngine(taskset, horizon_cap, memo={})
 
 
@@ -1367,19 +1218,17 @@ def _uniform_scaling_search(
     descent (including on horizon-cap trouble, which the descent handles
     with its own conservative semantics).
 
-    The search never consults the descent policy, so on a memo-backed
-    engine its outcome is cached per refinement flag — the ECDF fallback
-    chain's second stage skips the bisection entirely.
+    The search never consults the descent policy, so its outcome is
+    cached per refinement flag — the ECDF fallback chain's second stage
+    skips the bisection entirely.  The cache lives on the engine, not the
+    cross-probe memo: the outcome depends on the whole candidate, and an
+    engine serves exactly one.
     """
-    if engine._memo is not None:
-        # Cached on the engine, not the cross-probe memo: the outcome
-        # depends on the whole candidate, and an engine serves exactly one.
-        cached = engine._uniform.get(refine)
-        if cached is None:
-            cached = (_uniform_scaling_search_impl(high_tasks, refine, engine),)
-            engine._uniform[refine] = cached
-        return cached[0]
-    return _uniform_scaling_search_impl(high_tasks, refine, engine)
+    cached = engine._uniform.get(refine)
+    if cached is None:
+        cached = (_uniform_scaling_search_impl(high_tasks, refine, engine),)
+        engine._uniform[refine] = cached
+    return cached[0]
 
 
 def _uniform_scaling_search_impl(
@@ -1391,8 +1240,8 @@ def _uniform_scaling_search_impl(
 
     Split into a HI phase (the bisection — a pure function of the HC
     tasks, the refinement flag and, under degraded service, the LC
-    members) and a LO verdict on the winning assignment.  On a memo-backed
-    engine the HI phase is cached across *candidates*: probing different
+    members) and a LO verdict on the winning assignment.  The HI phase is
+    memoized across *candidates*: probing different
     LC tasks onto the same core leaves the HC set unchanged, so only the
     final LO check differs — the same sharing the per-``(HC, Dv)`` HI memo
     entries already exploit, lifted to the whole search.
@@ -1417,13 +1266,11 @@ def _uniform_hi_phase(
     descent, exactly as the historical single-function search did.
     """
     memo = engine._memo
-    key = None
-    if memo is not None:
-        key = ("unib", engine._high_ids, engine._lc_sig, refine)
-        hit = memo.get(key)
-        if hit is not None:
-            best = hit[0]
-            return dict(best) if best is not None else None
+    key = ("unib", engine._high_ids, engine._lc_sig, refine)
+    hit = memo.get(key)
+    if hit is not None:
+        best = hit[0]
+        return dict(best) if best is not None else None
 
     def hi_ok(vd: dict[int, int]) -> bool | None:
         try:
@@ -1432,8 +1279,7 @@ def _uniform_hi_phase(
             return None
 
     def store(best: dict[int, int] | None) -> dict[int, int] | None:
-        if key is not None:
-            memo[key] = (dict(best) if best is not None else None,)
+        memo[key] = (dict(best) if best is not None else None,)
         return best
 
     granularity = 1.0 / (2 * max(t.deadline for t in high_tasks))
@@ -1504,9 +1350,7 @@ def _descend(
 
         deficit = demand - violation
         if ranked is None:
-            ranked = _rank_candidates(
-                high_tasks, vd, violation, deficit, policy, engine
-            )
+            ranked = _rank_candidates(high_tasks, vd, violation, deficit, policy)
         candidate = None
         for _key, task, desired in ranked:
             if task.task_id not in frozen:
@@ -1535,7 +1379,6 @@ def _rank_candidates(
     violation: int,
     deficit: int,
     policy: str,
-    engine: DemandEngine,
 ) -> list[tuple[tuple, MCTask, int]]:
     """All shrink candidates for one assignment, best first.
 
@@ -1546,9 +1389,10 @@ def _rank_candidates(
     """
     ranked: list[tuple[tuple, MCTask, int]] = []
     for task in high_tasks:
-        # Inlined _min_shrink_for_gain / _shrink_to_clear / _hi_gain on
-        # plain ints — the identical closed forms, sans attribute hops and
-        # memo round-trips, in the single hottest loop of the descent.
+        # The first gaining shrink, the shrink that clears the deficit and
+        # the HI gain, inlined on plain ints in the single hottest loop of
+        # the descent (tests/analysis/scratch_engine.py keeps the reference
+        # functions these closed forms are pinned to).
         vd_now = vd[task.task_id]
         period, wcet_lo, wcet_hi = task.period, task.wcet_lo, task.wcet_hi
         max_shrink = vd_now - wcet_lo

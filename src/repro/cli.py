@@ -66,12 +66,21 @@ def _m_values_arg(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _samples_arg(raw: str) -> int:
-    """argparse type for ``--samples``: a positive task-set count."""
-    try:
-        return parse_positive_int(raw, "--samples")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _positive_int_arg(flag: str):
+    """argparse type for ``flag``: a positive integer (a processor or
+    task-set count), so zero and negatives are exit-2 usage errors."""
+
+    def parse(raw: str) -> int:
+        try:
+            return parse_positive_int(raw, flag)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_samples_arg = _positive_int_arg("--samples")
+_m_arg = _positive_int_arg("--m")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a task set (JSON)")
-    gen.add_argument("--m", type=int, default=4)
+    gen.add_argument("--m", type=_m_arg, default=4)
     gen.add_argument("--uhh", type=float, required=True)
     gen.add_argument("--ulh", type=float, required=True)
     gen.add_argument("--ull", type=float, required=True)
@@ -115,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     part = sub.add_parser("partition", help="partition a task set")
     part.add_argument("taskset", help="task-set JSON file ('-' for stdin)")
-    part.add_argument("--m", type=int, default=4)
+    part.add_argument("--m", type=_m_arg, default=4)
     part.add_argument(
         "--strategy", choices=registered_strategies(), default="cu-udp"
     )
@@ -329,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     sens = sub.add_parser(
         "sensitivity", help="utilization-difference sensitivity sweep"
     )
-    sens.add_argument("--m", type=int, default=4)
-    sens.add_argument("--samples", type=int, default=20)
+    sens.add_argument("--m", type=_m_arg, default=4)
+    sens.add_argument("--samples", type=_samples_arg, default=20)
 
     return parser
 

@@ -18,15 +18,16 @@ of a task before declaring failure", which is the premise of the 8/3
 speed-up inheritance result for the EDF-VD test (Baruah et al. 2014,
 Theorem 9).
 
-Probing is incremental by default: tests that provide an
-:class:`~repro.analysis.context.AnalysisContext` get one per core, so each
-admission probe reuses the core's accumulated analysis state instead of
-rebuilding a :class:`TaskSet` and re-deriving everything from scratch.
-Contexts are bit-identical to the from-scratch path by construction (and by
-the differential test suite); ``incremental=False`` forces the historical
-from-scratch probes, which the benchmarks use as the comparison baseline.
-:class:`ProcessorState` stays the shared accumulator either way — fit rules
-read their utilization sums from it, never from the contexts.
+Tests that provide an :class:`~repro.analysis.context.AnalysisContext` get
+one per core, so each admission probe reuses the core's accumulated
+analysis state instead of rebuilding a :class:`TaskSet` and re-deriving
+everything from scratch.  Tests whose ``make_context`` returns None (AMC
+with OPA priorities) are probed from scratch: the candidate core is rebuilt
+and the test run on it.  Contexts are bit-identical to the from-scratch
+probes by construction (and by the differential test suite, which hides a
+test's contexts to force the from-scratch loop).  :class:`ProcessorState`
+stays the shared accumulator either way — fit rules read their utilization
+sums from it, never from the contexts.
 """
 
 from __future__ import annotations
@@ -238,18 +239,16 @@ def partition(
     m: int,
     test: SchedulabilityTest,
     strategy: PartitioningStrategy,
-    *,
-    incremental: bool = True,
 ) -> PartitionResult:
     """Statically assign ``taskset`` to ``m`` cores; see module docstring.
 
     The schedulability ``test`` is evaluated on the candidate core's tasks
     *plus* the new task before every assignment, exactly as in Algorithm 1
-    of the paper (lines 5 and 16).  With ``incremental=True`` (the default)
-    and a test that provides an analysis context, probes run against
-    per-core :class:`~repro.analysis.context.AnalysisContext` objects;
-    otherwise each probe rebuilds the candidate task set from scratch.
-    Both paths produce the identical :class:`PartitionResult`.
+    of the paper (lines 5 and 16).  When the test provides an analysis
+    context, probes run against per-core
+    :class:`~repro.analysis.context.AnalysisContext` objects; otherwise each
+    probe rebuilds the candidate task set from scratch.  Both loops produce
+    the identical :class:`PartitionResult`.
 
     Raises :class:`UnsupportedTasksetError` when ``test.supports(taskset)``
     is False (the task set violates the test's model assumptions), and
@@ -284,11 +283,9 @@ def partition(
     if cached is not None:
         return cached
     processors = [ProcessorState(i, service=service) for i in range(m)]
-    contexts = None
-    if incremental:
-        candidates = [test.make_context(service) for _ in range(m)]
-        if all(context is not None for context in candidates):
-            contexts = candidates
+    contexts = [test.make_context(service) for _ in range(m)]
+    if any(context is None for context in contexts):
+        contexts = None
     assignment: dict[int, int] = {}
     fit_attempts = 0
     commits = 0

@@ -14,8 +14,8 @@ possible from the utilization columns alone:
    is complete and the whole partition is a pure function of the ledger;
    for EY/ECDF the screen covers the utilization-decided region and the
    replay abandons a set the moment a probe would need dbf work;
-3. everything still pending falls through to the incremental per-taskset
-   :func:`partition` path on lazily materialized task sets.
+3. everything still pending falls through to the per-taskset
+   :func:`partition` loop on lazily materialized task sets.
 
 Exactness
 ---------
@@ -333,14 +333,13 @@ def partition_batch(
     test: SchedulabilityTest,
     strategy: PartitioningStrategy,
     *,
-    incremental: bool = True,
     bank: PrefilterBank | None = None,
 ) -> BatchPartitionOutcome:
     """Partition every set of ``batch``; see module docstring.
 
-    ``accepted[i]`` equals ``partition(batch.taskset(i), m, test, strategy,
-    incremental=incremental).success`` for every set — the settling layers
-    only change *how cheaply* the boolean is obtained.  Raises
+    ``accepted[i]`` equals ``partition(batch.taskset(i), m, test,
+    strategy).success`` for every set — the settling layers only change
+    *how cheaply* the boolean is obtained.  Raises
     :class:`UnsupportedTasksetError` up front when the batch violates the
     test's model assumptions (the batch-level twin of the scalar gates) and
     ``ValueError`` when ``m`` is not positive.
@@ -375,9 +374,7 @@ def partition_batch(
             outcome.accepted.append(verdict)
             outcome.settled.append("ledger")
             continue
-        result = partition(
-            batch.taskset(i), m, test, strategy, incremental=incremental
-        )
+        result = partition(batch.taskset(i), m, test, strategy)
         outcome.accepted.append(result.success)
         outcome.settled.append("full")
     if _obs.active():

@@ -50,23 +50,13 @@ class PartitionedAlgorithm:
     strategy: PartitioningStrategy
     test: SchedulabilityTest
 
-    def partition(
-        self, taskset: TaskSet, m: int, *, incremental: bool = True
-    ) -> PartitionResult:
-        """Partition ``taskset`` onto ``m`` cores under this algorithm.
+    def partition(self, taskset: TaskSet, m: int) -> PartitionResult:
+        """Partition ``taskset`` onto ``m`` cores under this algorithm."""
+        return partition(taskset, m, self.test, self.strategy)
 
-        ``incremental`` is forwarded to :func:`repro.core.partition`: the
-        default drives per-core analysis contexts when the test provides
-        them (bit-identical results, much cheaper probes); False forces the
-        from-scratch path the benchmarks compare against.
-        """
-        return partition(
-            taskset, m, self.test, self.strategy, incremental=incremental
-        )
-
-    def accepts(self, taskset: TaskSet, m: int, *, incremental: bool = True) -> bool:
+    def accepts(self, taskset: TaskSet, m: int) -> bool:
         """Convenience: does partitioning succeed?"""
-        return self.partition(taskset, m, incremental=incremental).success
+        return self.partition(taskset, m).success
 
 
 def _make(name: str, strategy_factory, test_factory) -> Callable[[], PartitionedAlgorithm]:

@@ -8,8 +8,11 @@ makes every screen decline and every QPA search abort — the documented
 fallback then hands each exact decision to the forward scan.  These tests
 assert the equivalence across random and pinned task sets, service
 models, refinement on/off, horizon caps, scenario- and engine-level entry
-points, the batch pre-screen and whole figures — plus the closed-form
-shrink inversion against the historical bisection, the window-tiling
+points, the batch pre-screen and whole figures — on the memo-backed
+engine and the from-scratch ``ScratchEngine`` reference alike — plus the
+closed-form shrink inversion against the historical bisection, the
+descent's inlined shrink arithmetic against its reference functions, the
+window-tiling
 regression of ``_window_points`` and the verdict neutrality of every
 cost constant (scan chunk, screen depth, screen valve, QPA budget,
 scalar peek).
@@ -40,15 +43,21 @@ from repro.analysis.dbf import (
 )
 from repro.analysis.vdtuning import (
     DemandEngine,
-    _hi_gain,
     _invert_shrink,
-    _shrink_to_clear,
-    _shrink_to_clear_bisect,
+    _rank_candidates,
     _window_points,
     run_tuning_stages,
 )
 from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
+
+from tests.analysis.scratch_engine import (
+    ScratchEngine,
+    _hi_gain,
+    _min_shrink_for_gain,
+    _shrink_to_clear,
+    _shrink_to_clear_bisect,
+)
 
 SERVICES = ("full-drop", "imprecise:0.5", "elastic:1.5")
 
@@ -170,9 +179,15 @@ def scenario_checks(ts, vd, cap=100_000):
     return out
 
 
+def make_engine(ts, cap, memo):
+    """The production memo-backed engine, or the from-scratch reference."""
+    return DemandEngine(ts, cap, memo={}) if memo else ScratchEngine(ts, cap)
+
+
 def tuning_outcome(ts, stages, cap=100_000, memo=True):
-    """The comparable fields of one run_tuning_stages outcome."""
-    engine = DemandEngine(ts, cap, memo={} if memo else None)
+    """The comparable fields of one run_tuning_stages outcome (``memo``
+    False runs the from-scratch :class:`ScratchEngine`)."""
+    engine = make_engine(ts, cap, memo)
     outcome = run_tuning_stages(ts, stages, cap, engine=engine)
     return (
         outcome.schedulable,
@@ -326,9 +341,9 @@ class TestKernelEquivalence:
     def test_tuning_outcomes_identical(self, ts, service, cap):
         """run_tuning_stages returns the identical TuningOutcome —
         schedulable, deadlines, detail and iteration count — with and
-        without the forward oracle, for EY and ECDF chains, fresh and
-        memo-backed engines alike.  The small horizon caps reach the
-        "HI horizon cap exceeded" exits."""
+        without the forward oracle, for EY and ECDF chains, on the
+        from-scratch reference engine and the memo-backed one alike.  The
+        small horizon caps reach the "HI horizon cap exceeded" exits."""
         tagged = attach(ts, service)
         for stages in CHAINS:
             outcomes = []
@@ -420,6 +435,63 @@ class TestShrinkInversion:
         assert _hi_gain(task, vd_now, shrink, length) >= target
         if shrink > 1:
             assert _hi_gain(task, vd_now, shrink - 1, length) < target
+
+
+@st.composite
+def ranking_case(draw):
+    """HC tasks at drawn virtual deadlines, plus one violation point, one
+    deficit and a policy — the inputs of one descent ranking."""
+    cases = draw(st.lists(shrink_case(), min_size=1, max_size=4))
+    tasks = [task for task, _, _, _ in cases]
+    vd = {task.task_id: vd_now for task, vd_now, _, _ in cases}
+    _, _, violation, deficit = cases[0]
+    policy = draw(st.sampled_from(["steepest", "ratio"]))
+    return tasks, vd, violation, deficit, policy
+
+
+class TestInlinedClosedForms:
+    """The descent's hot loop inlines the single-task shrink arithmetic;
+    these properties pin each inlined form to its reference function."""
+
+    @given(shrink_case(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_engine_hi_gain_matches_reference(self, case, data):
+        task, vd_now, length, _ = case
+        shrink = data.draw(st.integers(min_value=0, max_value=vd_now - task.wcet_lo))
+        engine = DemandEngine(TaskSet([task]), 100_000, memo={})
+        assert engine.hi_gain(task, vd_now, shrink, length) == (
+            _hi_gain(task, vd_now, shrink, length)
+        )
+
+    @given(ranking_case())
+    @settings(max_examples=200, deadline=None)
+    def test_ranked_desired_matches_reference(self, case):
+        tasks, vd, violation, deficit, policy = case
+        for _key, task, desired in _rank_candidates(
+            tasks, vd, violation, deficit, policy
+        ):
+            vd_now = vd[task.task_id]
+            assert desired == max(
+                _min_shrink_for_gain(task, vd_now, violation),
+                _shrink_to_clear(task, vd_now, violation, deficit),
+            )
+
+    @given(ranking_case())
+    @settings(max_examples=200, deadline=None)
+    def test_unranked_tasks_cannot_gain(self, case):
+        tasks, vd, violation, deficit, policy = case
+        ranked = {
+            task.task_id
+            for _key, task, _desired in _rank_candidates(
+                tasks, vd, violation, deficit, policy
+            )
+        }
+        for task in tasks:
+            if task.task_id in ranked:
+                continue
+            vd_now = vd[task.task_id]
+            for shrink in range(1, vd_now - task.wcet_lo + 1):
+                assert _hi_gain(task, vd_now, shrink, violation) <= 0
 
 
 # -- window tiling regression (satellite) ------------------------------------
@@ -525,7 +597,8 @@ class TestForwardOracle:
 class TestEngineEntryPoints:
     """The DemandEngine queries the descent drives — HI verdicts with and
     without refinement, and the LO shrink bound — agree with the forward
-    oracle, fresh and memo-backed engines alike."""
+    oracle, on the from-scratch reference engine and the memo-backed one
+    alike."""
 
     @pytest.mark.parametrize("service", SERVICES)
     @given(inputs=scenario_inputs())
@@ -536,8 +609,8 @@ class TestEngineEntryPoints:
 
         def verdicts():
             out = []
-            for memo in (None, {}):
-                engine = DemandEngine(tagged, 100_000, memo=memo)
+            for memo in (False, True):
+                engine = make_engine(tagged, 100_000, memo)
                 for refine in (False, True, False):
                     try:
                         out.append(engine.hi_feasible(vd, refine))
@@ -556,8 +629,8 @@ class TestEngineEntryPoints:
 
         def shrinks():
             out = []
-            for memo in (None, {}):
-                engine = DemandEngine(tagged, 100_000, memo=memo)
+            for memo in (False, True):
+                engine = make_engine(tagged, 100_000, memo)
                 for task in tagged:
                     if task.is_high:
                         desired = task.deadline - task.wcet_lo
@@ -567,6 +640,12 @@ class TestEngineEntryPoints:
             return out
 
         assert run_forward(shrinks) == shrinks()
+
+    def test_memo_is_required(self):
+        """There is one engine: constructing it without a memo fails."""
+        ts = TaskSet([_hc(20, 2, 4, 12)])
+        with pytest.raises(TypeError):
+            DemandEngine(ts, 100_000)
 
 
 # -- pinned differential cases ------------------------------------------------

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.analysis.dbf import DEFAULT_HORIZON_CAP, DemandScenario
-from repro.analysis.vdtuning import (
-    TuningOutcome,
+from repro.analysis.vdtuning import TuningOutcome, tune_virtual_deadlines
+from repro.model import TaskSet
+
+from tests.analysis.scratch_engine import (
     _hi_gain,
     _min_shrink_for_gain,
     _shrink_to_clear,
-    tune_virtual_deadlines,
 )
-from repro.model import TaskSet
-
 from tests.conftest import hc_task, lc_task
 
 

@@ -215,6 +215,21 @@ class TestPartitionRoundTrip:
         assert vc.lookup_partition(ts, 3, test, get_strategy("cu-udp")) is None
         assert vc.lookup_partition(ts, 2, test, get_strategy("ca-udp")) is None
 
+    @pytest.mark.parametrize("base", ["amc-max", "amc-rtb"])
+    def test_priority_policy_separates_keys(self, cache_on, base):
+        """A set DM priorities reject but OPA accepts: the DM verdict
+        cached first must not be served to the OPA variant."""
+        tasks = [
+            MCTask(period=22, criticality=Criticality.HC, wcet_lo=3,
+                   wcet_hi=11, deadline=14),
+            MCTask(period=19, criticality=Criticality.LC, wcet_lo=5,
+                   wcet_hi=5, deadline=11),
+        ]
+        dm, opa = get_test(base), get_test(f"{base}-opa")
+        strategy = get_strategy("cu-udp")
+        assert not partition(TaskSet(tasks), 1, dm, strategy).success
+        assert partition(TaskSet(tasks), 1, opa, strategy).success
+
 
 class TestLruBound:
     def test_eviction_past_capacity(self, cache_on, monkeypatch):

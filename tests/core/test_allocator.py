@@ -1,5 +1,7 @@
 """Unit tests for the generic partitioned-allocation engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import EDFVDTest
@@ -9,6 +11,7 @@ from repro.core.allocator import PartitioningStrategy
 from repro.model import TaskSet
 
 from tests.conftest import hc_task, lc_task
+from tests.core.from_scratch import FromScratch
 
 
 def trivial_strategy() -> PartitioningStrategy:
@@ -149,7 +152,7 @@ class TestSupportsGuard:
 
 
 class TestIncrementalParity:
-    """partition(incremental=True) must equal the from-scratch walk."""
+    """The context-backed partition() must equal the from-scratch walk."""
 
     def _tasksets(self, deadline_type, m, count=8):
         from repro.generator import GeneratorConfig, MCTaskSetGenerator
@@ -181,10 +184,11 @@ class TestIncrementalParity:
         from repro.experiments import get_algorithm
 
         algorithm = get_algorithm(algorithm_name)
+        scratch = dataclasses.replace(algorithm, test=FromScratch(algorithm.test))
         for m in (2, 3):
             for taskset in self._tasksets(deadline_type, m):
-                fast = algorithm.partition(taskset, m, incremental=True)
-                slow = algorithm.partition(taskset, m, incremental=False)
+                fast = algorithm.partition(taskset, m)
+                slow = scratch.partition(taskset, m)
                 assert fast.success == slow.success
                 assert fast.assignment == slow.assignment
                 assert fast.cores == slow.cores
@@ -201,5 +205,5 @@ class TestIncrementalParity:
         )
         result = partition(taskset, 2, test, trivial_strategy())
         assert result.success == partition(
-            taskset, 2, test, trivial_strategy(), incremental=False
+            taskset, 2, FromScratch(test), trivial_strategy()
         ).success

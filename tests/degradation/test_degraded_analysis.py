@@ -26,6 +26,7 @@ from repro.model import TaskSet
 from repro.util.rng import derive_rng
 
 from tests.conftest import hc_task, lc_task
+from tests.core.from_scratch import FromScratch
 
 SERVICE_SPECS = ("imprecise:0.25", "imprecise:0.5", "imprecise:1.0",
                  "elastic:1.5", "elastic:2.0")
@@ -209,12 +210,9 @@ class TestPartitionUnderDegradedService:
         for base in generated(deadline_type, count=3):
             taskset = base.with_service_model(spec)
             for strategy in (cu_udp(), cu_udp_res()):
-                a = partition(
-                    taskset, 2, get_test(test_name), strategy, incremental=True
-                )
-                b = partition(
-                    taskset, 2, get_test(test_name), strategy, incremental=False
-                )
+                test = get_test(test_name)
+                a = partition(taskset, 2, test, strategy)
+                b = partition(taskset, 2, FromScratch(test), strategy)
                 assert a.success == b.success
                 assert a.assignment == b.assignment
                 assert a.cores == b.cores

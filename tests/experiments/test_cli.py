@@ -253,6 +253,26 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "argument --samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "partition", "sensitivity"])
+    @pytest.mark.parametrize("bad", ["0", "-1", "x"])
+    def test_non_positive_core_count_is_a_usage_error(self, command, bad, capsys):
+        argv = {
+            "generate": ["generate", "--uhh", "0.5", "--ulh", "0.2", "--ull", "0.3"],
+            "partition": ["partition", "ts.json"],
+            "sensitivity": ["sensitivity"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--m", bad])
+        assert excinfo.value.code == 2
+        assert "argument --m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_sensitivity_non_positive_samples_is_a_usage_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sensitivity", "--samples", bad])
+        assert excinfo.value.code == 2
+        assert "argument --samples" in capsys.readouterr().err
+
     def test_spec_file_with_zero_samples_is_rejected(self, tmp_path):
         spec = {"name": "bad", "figures": [{"figure": "fig3", "samples": 0}]}
         spec_path = tmp_path / "spec.json"

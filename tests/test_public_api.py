@@ -31,10 +31,7 @@ class TestNamespace:
 class TestRegistryConsistency:
     def test_every_test_instantiates_with_matching_name(self):
         for name in registered_tests():
-            test = get_test(name)
-            # OPA variants share their class's base name; everything else
-            # must round-trip exactly.
-            assert test.name == name or name.endswith("-opa")
+            assert get_test(name).name == name
 
     def test_every_strategy_instantiates_with_matching_name(self):
         for name in registered_strategies():
