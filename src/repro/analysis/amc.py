@@ -170,8 +170,7 @@ class _AMCBase(SchedulabilityTest):
             )
         self.priority_policy = priority_policy
         if priority_policy == "opa":
-            # The registered name: verdicts (and the verdict cache keys
-            # derived from the name) differ from the DM variant's.
+            # The registered name: verdicts differ from the DM variant's.
             self.name = f"{type(self).name}-opa"
 
     def _hi_response(

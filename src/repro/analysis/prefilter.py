@@ -357,8 +357,7 @@ class PrefilterBank:
     across tests would replay one test's verdicts as another's.
     """
 
-    def __init__(self, lone_task: bool = True):
-        self.lone_task = lone_task
+    def __init__(self):
         self._test: SchedulabilityTest | None = None
         #: memoized singleton verdicts keyed by (service key, task params)
         self._lone_memo: dict[tuple, bool] = {}
@@ -403,7 +402,7 @@ class PrefilterBank:
                 settled[i] = "sum-hi"
                 counts["sum-hi"] += 1
 
-        if self.lone_task and getattr(test, "is_subset_monotone", True):
+        if getattr(test, "is_subset_monotone", True):
             counts["lone-task"] += self._apply_lone_task(batch, test, settled)
         return PrefilterReport(settled, counts)
 
@@ -466,5 +465,5 @@ class PrefilterBank:
 
 
 def default_prefilter_bank() -> PrefilterBank:
-    """A fresh bank with every exact filter enabled."""
+    """A fresh bank running every exact filter."""
     return PrefilterBank()

@@ -49,6 +49,7 @@ import sys
 
 from repro.analysis import get_test, registered_tests
 from repro.core import get_strategy, partition, registered_strategies
+from repro.degradation import ServiceModel, parse_service_model
 from repro.experiments.figures import FIGURES
 from repro.generator import MCTaskSetGenerator
 from repro.model import TaskSet
@@ -79,8 +80,38 @@ def _positive_int_arg(flag: str):
     return parse
 
 
+def _non_negative_arg(flag: str, convert=int):
+    """argparse type for ``flag``: a non-negative number (``convert`` is
+    ``int`` or ``float``), so negatives are exit-2 usage errors."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be a non-negative {convert.__name__}, "
+                f"got {raw!r}"
+            ) from None
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be non-negative, got {raw!r}"
+            )
+        return value
+
+    return parse
+
+
+def _service_arg(raw: str) -> ServiceModel:
+    """argparse type for ``--service``: a registered LC service model spec."""
+    try:
+        return parse_service_model(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 _samples_arg = _positive_int_arg("--samples")
 _m_arg = _positive_int_arg("--m")
+_jobs_arg = _non_negative_arg("--jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a task set (JSON)")
     gen.add_argument("--m", type=_m_arg, default=4)
-    gen.add_argument("--uhh", type=float, required=True)
-    gen.add_argument("--ulh", type=float, required=True)
-    gen.add_argument("--ull", type=float, required=True)
+    for flag in ("--uhh", "--ulh", "--ull"):
+        gen.add_argument(
+            flag, type=_non_negative_arg(flag, float), required=True
+        )
     gen.add_argument("--ph", type=float, default=0.5)
     gen.add_argument(
         "--deadline", choices=("implicit", "constrained"), default="implicit"
@@ -120,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--test", choices=registered_tests(), default="ecdf"
     )
-    check.add_argument("--service", default="full-drop", help=service_help)
+    check.add_argument(
+        "--service", type=_service_arg, default="full-drop", help=service_help
+    )
 
     part = sub.add_parser("partition", help="partition a task set")
     part.add_argument("taskset", help="task-set JSON file ('-' for stdin)")
@@ -129,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=registered_strategies(), default="cu-udp"
     )
     part.add_argument("--test", choices=registered_tests(), default="edf-vd")
-    part.add_argument("--service", default="full-drop", help=service_help)
+    part.add_argument(
+        "--service", type=_service_arg, default="full-drop", help=service_help
+    )
 
     simulate = sub.add_parser(
         "simulate", help="validate an accepted set by simulation"
@@ -138,8 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--test", choices=registered_tests(), default="ecdf"
     )
-    simulate.add_argument("--service", default="full-drop", help=service_help)
-    simulate.add_argument("--horizon", type=int, default=20_000)
+    simulate.add_argument(
+        "--service", type=_service_arg, default="full-drop", help=service_help
+    )
+    simulate.add_argument(
+        "--horizon", type=_positive_int_arg("--horizon"), default=20_000
+    )
     simulate.add_argument("--seed", default="cli-sim")
 
     figure = sub.add_parser("figure", help="run a paper figure experiment")
@@ -153,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_arg,
         default=1,
         help="worker processes (0 = all cores, default 1 = serial)",
     )
@@ -219,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--samples", type=_samples_arg, default=None)
     campaign.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_arg,
         default=1,
         help="worker processes (0 = all cores, default 1 = serial)",
     )
@@ -317,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_arg,
         default=1,
         help="worker processes (0 = all cores, default 1 = serial)",
     )
@@ -344,16 +384,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_taskset(path: str, service: str = "full-drop") -> TaskSet:
-    if path == "-":
-        taskset = TaskSet.from_dicts(json.load(sys.stdin))
-    else:
-        with open(path, encoding="utf-8") as handle:
-            taskset = TaskSet.from_dicts(json.load(handle))
-    if service and service != "full-drop":
-        from repro.degradation import parse_service_model
+def _load_taskset(path: str, service: ServiceModel) -> TaskSet:
+    """The task set in JSON file ``path`` ('-' for stdin) under ``service``.
 
-        taskset = taskset.with_service_model(parse_service_model(service))
+    An unreadable file or malformed content exits with a one-line error.
+    """
+    try:
+        if path == "-":
+            rows = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as handle:
+                rows = json.load(handle)
+    except OSError as exc:
+        raise SystemExit(
+            f"cannot read task set {path!r}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise SystemExit(f"invalid task set {path!r}: {exc}") from None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) for row in rows
+    ):
+        raise SystemExit(
+            f"invalid task set {path!r}: expected a JSON list of task objects"
+        )
+    try:
+        taskset = TaskSet.from_dicts(rows)
+    except KeyError as exc:
+        raise SystemExit(
+            f"invalid task set {path!r}: a task is missing field {exc}"
+        ) from None
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"invalid task set {path!r}: {exc}") from None
+    if not service.is_full_drop:
+        taskset = taskset.with_service_model(service)
     return taskset
 
 
@@ -449,8 +512,6 @@ def _cmd_simulate(args) -> int:
 def _resolve_jobs(jobs: int) -> int:
     from repro.runner import default_jobs
 
-    if jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0, got {jobs}")
     return default_jobs() if jobs == 0 else jobs
 
 
@@ -553,14 +614,14 @@ def _cmd_campaign(args) -> int:
         run_campaign,
     )
 
-    if args.spec and args.figures:
+    if args.spec and args.figures is not None:
         raise SystemExit("pass either a spec file or --figures, not both")
     try:
         if args.spec:
             spec = CampaignSpec.from_json_file(args.spec)
             if args.samples is not None:
                 raise SystemExit("--samples belongs in the spec file")
-        elif args.figures:
+        elif args.figures is not None:
             jobs_list = tuple(
                 FigureJob(name.strip(), samples=args.samples)
                 for name in args.figures.split(",")

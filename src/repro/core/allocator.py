@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 from repro.model import MCTask, TaskSet
 from repro import obs as _obs
-from repro.analysis import verdict_cache as _vcache
 from repro.analysis.interface import SchedulabilityTest
 
 __all__ = [
@@ -274,14 +273,6 @@ def partition(
             "SchedulabilityTest.supports_service_model; e.g. the AMC "
             "analyses assume drop-at-switch)",
         )
-    # Opt-in canonical verdict cache: repeated (taskset, m, test,
-    # strategy, service) probes — across sweep buckets, strategies and
-    # campaign resumes — replay the recorded placement instead of paying
-    # the probes again.  Consulted after the support checks so unsupported
-    # pairings keep raising their typed errors.
-    cached = _vcache.lookup_partition(taskset, m, test, strategy)
-    if cached is not None:
-        return cached
     processors = [ProcessorState(i, service=service) for i in range(m)]
     contexts = [test.make_context(service) for _ in range(m)]
     if any(context is None for context in contexts):
@@ -310,7 +301,7 @@ def partition(
                 break
         if not placed:
             _record_partition_metrics(strategy.name, fit_attempts, commits, False)
-            result = PartitionResult(
+            return PartitionResult(
                 success=False,
                 strategy_name=strategy.name,
                 test_name=test.name,
@@ -319,10 +310,8 @@ def partition(
                 assignment=assignment,
                 failed_task=task,
             )
-            _vcache.store_partition(taskset, m, test, strategy, result)
-            return result
     _record_partition_metrics(strategy.name, fit_attempts, commits, True)
-    result = PartitionResult(
+    return PartitionResult(
         success=True,
         strategy_name=strategy.name,
         test_name=test.name,
@@ -330,8 +319,6 @@ def partition(
         cores=tuple(p.taskset() for p in processors),
         assignment=assignment,
     )
-    _vcache.store_partition(taskset, m, test, strategy, result)
-    return result
 
 
 def _record_partition_metrics(

@@ -22,12 +22,6 @@ corrupted, version-skewed or otherwise suspicious is treated as a miss
 and recomputed — a store can never poison a result.  Writes are atomic
 (temp file + ``os.replace``) so a killed campaign cannot leave a partial
 shard that later loads.
-
-The four blob primitives (``get``/``put``/``exists``/``discard``) are
-deliberately generic: the opt-in verdict cache
-(:mod:`repro.analysis.verdict_cache`) reuses them for its persistent
-tier, storing canonical-key verdict payloads in an :class:`FsStore`
-with the same miss-on-doubt discipline.
 """
 
 from __future__ import annotations
@@ -111,10 +105,10 @@ class FsStore:
     """Validated load/store of shard outcomes over a key -> text blob map.
 
     Blobs live at ``<root>/<key[:2]>/<key>.json``.  Keying, serialization
-    and the reject-on-any-doubt validation sit on top of four blob
-    primitives (:meth:`get`, :meth:`put`, :meth:`exists`,
-    :meth:`discard`); a rejected blob is discarded on sight so the
-    recompute's :meth:`store` repairs it.
+    and the reject-on-any-doubt validation sit on top of three blob
+    primitives (:meth:`get`, :meth:`put`, :meth:`discard`); a rejected
+    blob is discarded on sight so the recompute's :meth:`store` repairs
+    it.
     Statistics (``hits``, ``misses``, ``rejected``, ``stored``) accumulate
     over the store's lifetime; campaign reports read them to prove a
     resumed run recomputed nothing.
@@ -156,10 +150,6 @@ class FsStore:
         path = self._blob_path(key)
         _atomic_write(path, text)
         return path
-
-    def exists(self, key: str) -> bool:
-        """Whether ``key`` currently has a blob (possibly invalid)."""
-        return self._blob_path(key).is_file()
 
     def discard(self, key: str) -> None:
         """Drop the blob under ``key`` if present (quarantine support)."""

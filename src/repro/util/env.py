@@ -5,22 +5,7 @@ Two knobs control experiment scale everywhere (figures, benchmarks, CI):
 * ``REPRO_SAMPLES`` — task sets per ``UB`` bucket (the paper used 1000).
 * ``REPRO_M`` — comma-separated processor counts (the paper swept 2,4,8).
 
-Three configure the canonical verdict cache of
-:mod:`repro.analysis.verdict_cache` (opt-in; default off):
-
-* ``REPRO_VERDICT_CACHE`` — ``off`` (default) or ``on``: consult the
-  canonical task-set verdict cache in ``partition()`` and
-  ``run_tuning_stages`` before any descent runs.  Keys are order- and
-  id-normalized, so identically-parameterized task sets submitted in a
-  different order hit; the float folds inside the descent are order
-  sensitive, which is why the cache is opt-in rather than the default.
-* ``REPRO_VERDICT_CACHE_SIZE`` — in-process LRU capacity in entries
-  (default 4096).
-* ``REPRO_VERDICT_CACHE_DIR`` — directory for the optional persistent
-  tier (a shard-store blob bucket); empty (default) keeps the cache
-  purely in-process.
-
-And one selects the observability recorder of :mod:`repro.obs`:
+One selects the observability recorder of :mod:`repro.obs`:
 
 * ``REPRO_OBS`` — ``off`` (default, null recorder), ``metrics``
   (counters/gauges/histograms) or ``trace`` (metrics plus tracing spans
@@ -64,9 +49,6 @@ __all__ = [
     "positive_float_env",
     "samples_from_env",
     "m_values_from_env",
-    "verdict_cache_from_env",
-    "verdict_cache_size_from_env",
-    "verdict_cache_dir_from_env",
     "obs_mode_from_env",
     "journal_path_from_env",
     "journal_flush_interval_from_env",
@@ -128,50 +110,6 @@ def positive_float_env(name: str, fallback: float) -> float:
 def samples_from_env(fallback: int = 100) -> int:
     """Samples per ``UB`` bucket: ``REPRO_SAMPLES`` or ``fallback``."""
     return positive_int_env("REPRO_SAMPLES", fallback)
-
-
-def verdict_cache_from_env(fallback: str = "off") -> str:
-    """Verdict-cache switch: ``REPRO_VERDICT_CACHE`` or ``fallback``.
-
-    Accepts exactly ``off`` or ``on``.  Opt-in because the canonical
-    (order-normalized) keys identify task sets up to reordering while
-    the descent's float folds are order sensitive — the default keeps
-    bit-for-bit reproducibility of unordered submissions.
-    """
-    raw = os.environ.get("REPRO_VERDICT_CACHE", "")
-    if not raw:
-        return fallback
-    if raw not in ("off", "on"):
-        raise ValueError(
-            f"REPRO_VERDICT_CACHE must be off|on, got {raw!r}"
-        )
-    return raw
-
-
-def verdict_cache_size_from_env(fallback: int = 4096) -> int:
-    """In-process verdict-cache LRU capacity: ``REPRO_VERDICT_CACHE_SIZE``."""
-    return positive_int_env("REPRO_VERDICT_CACHE_SIZE", fallback)
-
-
-def verdict_cache_dir_from_env(fallback: str = "") -> str:
-    """Persistent verdict-cache directory: ``REPRO_VERDICT_CACHE_DIR``.
-
-    ``""`` means "in-process only".  A value naming an existing *file*
-    raises — the persistent tier is a shard-store blob bucket rooted at
-    a directory.
-    """
-    raw = os.environ.get("REPRO_VERDICT_CACHE_DIR", "")
-    if not raw:
-        return fallback
-    if raw.strip() != raw or not raw.strip():
-        raise ValueError(
-            f"REPRO_VERDICT_CACHE_DIR must be a directory path, got {raw!r}"
-        )
-    if os.path.isfile(raw):
-        raise ValueError(
-            f"REPRO_VERDICT_CACHE_DIR must name a directory, not a file: {raw!r}"
-        )
-    return raw
 
 
 def obs_mode_from_env(fallback: str = "off") -> str:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis import AMCmaxTest, AMCrtbTest
+from repro.analysis import AMCmaxTest, AMCrtbTest, get_test
 from repro.analysis.amc import amc_max_response, amc_rtb_response
+from repro.core import get_strategy, partition
 from repro.model import TaskSet
 from repro.util import derive_rng
 
@@ -119,6 +120,22 @@ class TestAMCTestClasses:
             if dm.is_schedulable(ts):
                 assert opa.is_schedulable(ts), ts.describe()
         assert compared >= 20
+
+    @pytest.mark.parametrize("base", ["amc-max", "amc-rtb"])
+    def test_opa_accepts_where_dm_rejects(self, base):
+        """A set DM priorities reject but OPA accepts: the two priority
+        policies of one AMC analysis must reach different verdicts, both
+        directly and through a one-core partition."""
+        tasks = [
+            hc_task(22, 3, 11, deadline=14),
+            lc_task(19, 5, deadline=11),
+        ]
+        dm, opa = get_test(base), get_test(f"{base}-opa")
+        assert not dm.is_schedulable(TaskSet(tasks))
+        assert opa.is_schedulable(TaskSet(tasks))
+        strategy = get_strategy("cu-udp")
+        assert not partition(TaskSet(tasks), 1, dm, strategy).success
+        assert partition(TaskSet(tasks), 1, opa, strategy).success
 
     def test_invalid_priority_policy(self):
         with pytest.raises(ValueError, match="priority_policy"):

@@ -834,7 +834,7 @@ class TestFigureVerdictParity:
     """fig3–fig7 at miniature scale: the full figure outputs — acceptance
     ratios, sample counts and WAR tables — must be identical with and
     without the forward oracle.  This is the verdict level the shard store
-    and the verdict cache key on."""
+    keys on."""
 
     @pytest.mark.parametrize(
         "name,kwargs",

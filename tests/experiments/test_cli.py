@@ -315,3 +315,109 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--demand-kernel", "qpa"])
         assert "--demand-kernel" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Bad input ends in a usage error or a one-line message, never a
+    traceback or a silently different run."""
+
+    @pytest.mark.parametrize("command", ["check", "partition", "simulate"])
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "cannot read task set"),
+            ("not json at all", "invalid task set"),
+            ('{"period": 10}', "expected a JSON list of task objects"),
+            ("[1, 2]", "expected a JSON list of task objects"),
+            (
+                '[{"criticality": "HC", "wcet_lo": 1, "wcet_hi": 2}]',
+                "missing field 'period'",
+            ),
+            (
+                '[{"period": -5, "criticality": "HC", "wcet_lo": 1, '
+                '"wcet_hi": 2}]',
+                "period must be positive",
+            ),
+        ],
+        ids=["missing", "not-json", "object", "not-tasks", "no-period",
+             "bad-period"],
+    )
+    def test_bad_taskset_file_is_a_one_line_error(
+        self, command, content, message, tmp_path
+    ):
+        path = tmp_path / "ts.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(path)])
+        assert message in str(excinfo.value.code)
+        assert "\n" not in str(excinfo.value.code)
+
+    @pytest.mark.parametrize("command", ["check", "partition", "simulate"])
+    @pytest.mark.parametrize("bad", ["bogus", "imprecise:abc", "imprecise:2"])
+    def test_bad_service_is_a_usage_error(
+        self, command, bad, taskset_file, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(taskset_file), "--service", bad])
+        assert excinfo.value.code == 2
+        assert "argument --service" in capsys.readouterr().err
+
+    def test_service_parses_to_a_model(self):
+        args = build_parser().parse_args(
+            ["check", "ts.json", "--service", "imprecise:0.5"]
+        )
+        assert args.service.spec() == "imprecise:0.5"
+        default = build_parser().parse_args(["check", "ts.json"])
+        assert default.service.is_full_drop
+
+    @pytest.mark.parametrize("bad", ["0", "-5", "x"])
+    def test_non_positive_horizon_is_a_usage_error(
+        self, bad, taskset_file, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(taskset_file), "--horizon", bad])
+        assert excinfo.value.code == 2
+        assert "argument --horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--uhh", "--ulh", "--ull"])
+    @pytest.mark.parametrize("bad", ["-0.5", "nan", "x"])
+    def test_negative_utilization_is_a_usage_error(self, flag, bad, capsys):
+        argv = {"--uhh": "0.5", "--ulh": "0.2", "--ull": "0.3"}
+        argv[flag] = bad
+        flat = [part for pair in argv.items() for part in pair]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", *flat])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    @pytest.mark.parametrize("bad", ["-3", "x"])
+    def test_negative_jobs_is_a_usage_error(self, command, bad, capsys):
+        argv = [command, "fig3"] if command != "campaign" else [command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--jobs", bad])
+        assert excinfo.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figures", ["", ","])
+    def test_empty_figure_list_is_rejected(self, figures, tmp_path):
+        """An empty ``--figures`` must not fall through to the full paper
+        evaluation."""
+        with pytest.raises(SystemExit, match="at least one figure"):
+            main(
+                [
+                    "campaign", "--figures", figures,
+                    "--out", str(tmp_path / "out"), "--no-progress",
+                ]
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_figure_list_with_spec_is_exclusive(self, tmp_path):
+        with pytest.raises(SystemExit, match="not both"):
+            main(
+                [
+                    "campaign", "spec.json", "--figures", "",
+                    "--out", str(tmp_path), "--no-progress",
+                ]
+            )

@@ -2,8 +2,8 @@
 
 ``tests/runner/test_cache.py`` pins the shard-level behavior through
 ``shard_path``; this suite runs the corruption battery through the blob
-primitives (``get``/``put``/``exists``/``discard``) the verdict cache
-also relies on, plus the canonical layout and payload bytes.
+primitives (``get``/``put``/``discard``) that ``load``/``store`` are
+built on, plus the canonical layout and payload bytes.
 """
 
 import json
@@ -63,13 +63,11 @@ class TestInterface:
 
     def test_blob_primitives(self, store):
         key = unit_key(make_unit())
-        assert not store.exists(key)
         assert store.get(key) is None
         store.put(key, "payload\n")
-        assert store.exists(key)
         assert store.get(key) == "payload\n"
         store.discard(key)
-        assert not store.exists(key)
+        assert store.get(key) is None
         store.discard(key)  # idempotent on absent blobs
 
 

@@ -16,9 +16,6 @@ from repro.util.env import (
     positive_int_env,
     runner_backend_from_env,
     samples_from_env,
-    verdict_cache_dir_from_env,
-    verdict_cache_from_env,
-    verdict_cache_size_from_env,
 )
 
 
@@ -172,43 +169,69 @@ class TestMValues:
             m_values_from_env()
 
 
-class TestVerdictCacheKnobs:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERDICT_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_VERDICT_CACHE_SIZE", raising=False)
-        monkeypatch.delenv("REPRO_VERDICT_CACHE_DIR", raising=False)
-        assert verdict_cache_from_env() == "off"
-        assert verdict_cache_size_from_env() == 4096
-        assert verdict_cache_dir_from_env() == ""
 
-    def test_parses_values(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE", "on")
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_SIZE", "16")
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
-        assert verdict_cache_from_env() == "on"
-        assert verdict_cache_size_from_env() == 16
-        assert verdict_cache_dir_from_env() == str(tmp_path)
+#: One valid, non-default setting per knob parser: ``{parser: (var, raw)}``.
+KNOB_SETTINGS = {
+    "samples_from_env": ("REPRO_SAMPLES", "7"),
+    "m_values_from_env": ("REPRO_M", "3,5"),
+    "obs_mode_from_env": ("REPRO_OBS", "metrics"),
+    "journal_path_from_env": ("REPRO_OBS_JOURNAL", "events.jsonl"),
+    "journal_flush_interval_from_env": ("REPRO_OBS_JOURNAL_FLUSH", "0.5"),
+    "straggler_factor_from_env": ("REPRO_OBS_STRAGGLER", "2.5"),
+    "runner_backend_from_env": ("REPRO_RUNNER_BACKEND", "cluster"),
+    "heartbeat_interval_from_env": ("REPRO_RUNNER_HEARTBEAT", "0.75"),
+    "lease_timeout_from_env": ("REPRO_RUNNER_LEASE", "42.0"),
+    "fault_spec_from_env": ("REPRO_RUNNER_FAULT", "crash:rate=0.3"),
+}
 
-    @pytest.mark.parametrize("bad", ["ON", "yes", "1", "true"])
-    def test_rejects_invalid_switch(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE", bad)
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE"):
-            verdict_cache_from_env()
 
-    @pytest.mark.parametrize("bad", ["0", "-5", "big"])
-    def test_rejects_invalid_size(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_SIZE", bad)
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE_SIZE"):
-            verdict_cache_size_from_env()
+def knob_parsers() -> dict:
+    """Every ``*_from_env`` parser of :mod:`repro.util.env`, plus the
+    fault-injection spec the cluster workers read."""
+    from repro.runner import faults
+    from repro.util import env
 
-    def test_rejects_padded_dir(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", " /tmp/cache ")
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE_DIR"):
-            verdict_cache_dir_from_env()
+    parsers = {
+        name: getattr(env, name)
+        for name in env.__all__
+        if name.endswith("_from_env")
+    }
+    parsers["fault_spec_from_env"] = faults.fault_spec_from_env
+    return parsers
 
-    def test_rejects_existing_file(self, monkeypatch, tmp_path):
-        blob = tmp_path / "not-a-dir"
-        blob.write_text("x")
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(blob))
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE_DIR"):
-            verdict_cache_dir_from_env()
+
+def _parse_knobs_in_child(conn) -> None:
+    conn.send({name: parse() for name, parse in knob_parsers().items()})
+    conn.close()
+
+
+class TestKnobsResolveIdenticallyInWorkers:
+    """No knob is snapshotted per process: a setting made after import
+    is what both the parent and a cluster worker process read."""
+
+    def test_every_parser_has_a_setting(self):
+        assert set(knob_parsers()) == set(KNOB_SETTINGS)
+
+    def test_parent_and_worker_agree(self, monkeypatch):
+        from repro.runner.cluster import _mp_context
+
+        for var, _ in KNOB_SETTINGS.values():
+            monkeypatch.delenv(var, raising=False)
+        defaults = {name: parse() for name, parse in knob_parsers().items()}
+        for var, raw in KNOB_SETTINGS.values():
+            monkeypatch.setenv(var, raw)
+        parent = {name: parse() for name, parse in knob_parsers().items()}
+        assert all(parent[name] != defaults[name] for name in parent)
+
+        ctx = _mp_context()
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_parse_knobs_in_child, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "worker process sent nothing"
+            worker = receiver.recv()
+        finally:
+            child.join(timeout=60)
+        assert child.exitcode == 0
+        assert worker == parent
